@@ -207,6 +207,12 @@ func (s JobSpec) Resolve() (core.Config, workloads.Params, error) {
 	if err := cfg.Validate(); err != nil {
 		return zero, workloads.Params{}, &SpecError{Field: "design.config", Reason: err.Error(), Err: err}
 	}
+	if p.NumCUs > cfg.GPU.NumCUs {
+		return zero, workloads.Params{}, &SpecError{
+			Field:  "workload.params.num_cus",
+			Reason: fmt.Sprintf("trace needs %d CUs, design %q has %d", p.NumCUs, cfg.Name, cfg.GPU.NumCUs),
+		}
+	}
 	return cfg, p, nil
 }
 

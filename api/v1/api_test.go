@@ -58,6 +58,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"invalid inline config", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{}}}`, "design.config"},
 		{"bad mmu kind", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{"Kind":"telepathic"}}}`, "telepathic"},
 		{"negative override", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"preset":"vc","iommu_lookups_per_cycle":-1}}`, "iommu_lookups_per_cycle"},
+		{"more CUs than the GPU", `{"api_version":"v1","workload":{"name":"nw","params":{"num_cus":32}},"design":{"preset":"vc-opt"}}`, "workload.params.num_cus"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -54,7 +54,7 @@ func main() {
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all 15)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = serial; results are identical either way)")
 	intraParallel := flag.Int("intra-parallel", 0, "partitioned-engine worker threads inside each simulation (0 = auto split with -parallel; results are byte-identical at any value)")
-	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end for every run (cached separately from legacy results; no-op for designs without per-CU TLBs)")
+	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end for every run (cached separately from per-line results; no-op for designs without per-CU TLBs)")
 	eagerFlush := flag.Bool("eager-flush", false, "per-entry eager bulk invalidation instead of epoch-based lazy (results are byte-identical; for cross-checking and flush-cost studies)")
 	tenantsFlag := flag.String("tenants", "", "comma-separated tenant counts for the churn figure (default 2,8,24)")
 	quiet := flag.Bool("q", false, "suppress per-run progress on stderr")

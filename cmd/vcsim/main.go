@@ -100,7 +100,7 @@ func main() {
 	iommubw := flag.Int("iommubw", -1, "override IOMMU lookups/cycle (0 = unlimited)")
 	largePages := flag.Bool("largepages", false, "back the workload with 2MB pages")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations when several designs are given")
-	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (results are byte-identical at any value)")
+	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (values < 1 mean 1; results are byte-identical at any value)")
 	stream := flag.Bool("stream", false, "generate and replay the workload as a chunked (v4) stream: peak memory stays bounded by the chunk budget instead of the trace size; results are byte-identical")
 	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -stream (0 = default 4MB)")
 	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end: page-chunk dedup, inline TLB hit peeling, bulk IOMMU miss submission (deterministic; no-op for designs without per-CU TLBs)")
@@ -421,9 +421,9 @@ func chunkedStreamPath(cache *artifact.Cache, g workloads.Generator, p workloads
 }
 
 // printSimSummary emits the one-line completion summary for the
-// simulations that ran live on the partitioned engine (cached results and
-// legacy -intra-parallel 0 runs report nothing). Written to stderr so
-// stdout stays byte-identical across worker counts and cache states.
+// simulations that ran live (cached results report nothing). Written to
+// stderr so stdout stays byte-identical across worker counts and cache
+// states.
 func printSimSummary(w io.Writer, results []core.Results, infos []core.IntraInfo, live []bool, wall time.Duration) {
 	var cycles, events uint64
 	n := 0

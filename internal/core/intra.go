@@ -8,29 +8,34 @@ import (
 	"vcache/internal/sim"
 )
 
-// Intra-run parallelism: the partitioned event engine.
+// The event schedule: a partitioned engine.
 //
-// WithIntraParallelism splits a system into NumCUs+1 partitions — one per
-// CU front end (warps, coalescer, L1, per-CU TLBs, invalidation filter,
-// remap table) plus one shared back end (L2 and banks, IOMMU, FBT, page
-// walker, DRAM, the NoC servers, and the GPU's warp-global coordinator) —
-// each with its own calendar-queue engine, driven through conservative
-// cycle windows by sim.Partitioned. The window width (lookahead) is the
-// minimum latency of the two routes that cross the partition boundary,
-// CU<->L2 and CU<->IOMMU, so no cross-partition message can land inside
-// the window it was sent from.
+// A system is split into NumCUs+1 partitions — one per CU front end
+// (warps, coalescer, L1, per-CU TLBs, invalidation filter, remap table)
+// plus one shared back end (L2 and banks, IOMMU, FBT, page walker, DRAM,
+// the NoC servers, and the GPU's warp-global coordinator) — each with its
+// own calendar-queue engine, driven through conservative cycle windows by
+// sim.Partitioned. The window width (lookahead) is the minimum latency of
+// the two routes that cross the partition boundary, CU<->L2 and
+// CU<->IOMMU, so no cross-partition message can land inside the window it
+// was sent from.
 //
-// Cross-partition traffic goes through sendToBackend/sendToCU, which
-// degrade to plain noc sends in legacy mode; Link message counts are
-// accumulated per partition and folded into the shared Link structs only
-// at barriers, so snapshots see the usual NoC totals without the workers
-// ever sharing a counter. The resulting schedule is a pure function of
-// the configuration: byte-identical results and metrics for every worker
-// count, including one. It is, however, a different (window-granular)
-// schedule than the legacy single-engine run, which remains the default.
+// Cross-partition traffic during a run goes through
+// sendToBackend/sendToCU; Link message counts are accumulated per
+// partition and folded into the shared Link structs only at barriers, so
+// snapshots see the usual NoC totals without the workers ever sharing a
+// counter. The schedule is a pure function of the configuration:
+// byte-identical results and metrics for every worker count, including
+// one. Between runs every partition is idle, so operations such as
+// Shootdown and FlushGPU apply their front-end effects directly.
 type intraState struct {
+	engines   []*sim.Engine // engines[0] == System.eng (the shared backend)
+	lookahead uint64
+
+	// part is the window runner of the current (or last) run; nil before
+	// the first run. running is true while it executes.
 	part    *sim.Partitioned
-	engines []*sim.Engine // engines[0] == System.eng (the shared backend)
+	running bool
 
 	// routeMsgs defers per-partition NoC message counts for the two
 	// boundary routes ([partition][routeIdx]); flushRouteCounts folds them
@@ -38,7 +43,7 @@ type intraState struct {
 	routeMsgs [][2]uint64
 
 	// serialReason is non-empty when the configuration cannot be executed
-	// on more than one worker (the canonical schedule still runs).
+	// on more than one worker (the same schedule still runs).
 	serialReason string
 }
 
@@ -52,7 +57,7 @@ func routeIdx(r noc.Route) int {
 	return 0
 }
 
-// IntraInfo describes a partitioned run (System.IntraInfo).
+// IntraInfo describes a run's partitioned schedule (System.IntraInfo).
 type IntraInfo struct {
 	Partitions int    // partition count (CUs + shared backend)
 	Workers    int    // resolved worker threads
@@ -65,11 +70,11 @@ type IntraInfo struct {
 	SerialReason string
 }
 
-// IntraInfo reports the partitioned-engine statistics of the last
-// WithIntraParallelism run; ok is false for legacy (single-engine) runs.
+// IntraInfo reports the partitioned-engine statistics of the last run;
+// ok is false only before the system's first run.
 func (s *System) IntraInfo() (info IntraInfo, ok bool) {
-	st := s.intra
-	if st == nil {
+	st := &s.intra
+	if st.part == nil {
 		return IntraInfo{}, false
 	}
 	return IntraInfo{
@@ -83,63 +88,35 @@ func (s *System) IntraInfo() (info IntraInfo, ok bool) {
 	}, true
 }
 
-// cuEng returns the engine that owns cu's front-end events: the CU's
-// partition engine in a partitioned run, the global engine otherwise.
-func (s *System) cuEng(cu int) *sim.Engine {
-	if s.intra == nil {
-		return s.eng
-	}
-	return s.intra.engines[cu+1]
-}
+// cuEng returns the engine that owns cu's front-end events.
+func (s *System) cuEng(cu int) *sim.Engine { return s.intra.engines[cu+1] }
 
 // sendToBackend delivers fn on the backend partition after the route's
-// latency. Legacy mode degrades to a plain NoC send. Must be called from
-// the CU's own partition.
+// latency. Must be called from the CU's own partition.
 func (s *System) sendToBackend(cu int, r noc.Route, fn func()) {
-	st := s.intra
-	if st == nil {
-		s.net.Send(r, fn)
-		return
-	}
+	st := &s.intra
 	st.routeMsgs[cu+1][routeIdx(r)]++
 	st.part.Send(cu+1, 0, s.net.Latency(r), fn)
 }
 
-// sendToCU delivers fn on cu's partition after the route's latency.
-// Legacy mode degrades to a plain NoC send. Must be called from the
-// backend partition.
+// sendToCU delivers fn on cu's partition after the route's latency. Must
+// be called from the backend partition. Between runs every partition is
+// idle, so fn applies at once.
 func (s *System) sendToCU(cu int, r noc.Route, fn func()) {
-	st := s.intra
-	if st == nil {
-		s.net.Send(r, fn)
+	st := &s.intra
+	if !st.running {
+		fn()
 		return
 	}
 	st.routeMsgs[0][routeIdx(r)]++
 	st.part.Send(0, cu+1, s.net.Latency(r), fn)
 }
 
-// completeAtCU runs fn on cu's partition from backend code that in the
-// legacy engine completed synchronously (e.g. a permission fault detected
-// at the L2): direct call in legacy mode, a response message over the GPU
-// network in a partitioned run.
-func (s *System) completeAtCU(cu int, fn func()) {
-	st := s.intra
-	if st == nil {
-		fn()
-		return
-	}
-	st.routeMsgs[0][0]++
-	st.part.Send(0, cu+1, s.net.Latency(noc.CUToL2), fn)
-}
-
 // flushRouteCounts folds the deferred per-partition NoC message counts
 // into the shared Link structs. Called at window barriers and at end of
 // run, where all workers are quiescent.
 func (s *System) flushRouteCounts() {
-	st := s.intra
-	if st == nil {
-		return
-	}
+	st := &s.intra
 	for p := range st.routeMsgs {
 		for ri := range st.routeMsgs[p] {
 			n := st.routeMsgs[p][ri]
@@ -154,17 +131,17 @@ func (s *System) flushRouteCounts() {
 	}
 }
 
-// intraSerialReason reports why this run must execute its canonical
-// schedule on a single worker ("" = parallel-safe). These paths read or
-// write state across the partition boundary synchronously, which is
-// deterministic on one worker but racy on several.
-func (s *System) intraSerialReason(lookahead uint64, traced bool) string {
+// intraSerialReason reports why this run must execute its schedule on a
+// single worker ("" = parallel-safe). These paths read or write state
+// across the partition boundary synchronously, which is deterministic on
+// one worker but racy on several.
+func (s *System) intraSerialReason(traced bool) string {
 	switch {
 	case s.cfg.ProbeResidency:
 		return "probe-residency classification reads shared caches on CU TLB misses"
 	case s.cfg.GPU.BlockOnStore:
 		return "block-on-store retires warps from backend store completions"
-	case lookahead == 0:
+	case s.intra.lookahead == 0:
 		return "zero-latency interconnect leaves no conservative lookahead"
 	case traced:
 		return "event tracing serializes writes to the shared sink"
@@ -172,85 +149,82 @@ func (s *System) intraSerialReason(lookahead uint64, traced bool) string {
 	return ""
 }
 
-// enableIntra partitions the system for a WithIntraParallelism run: one
-// engine per CU front end plus the existing engine as the shared backend,
-// clocks rebound, the GPU's coordinator protocol switched to messages,
-// and the partition runner built with the NoC-derived lookahead.
-func (s *System) enableIntra(req int, traced bool) {
+// partition builds the partition engines at construction — one engine
+// per CU front end plus the system engine as the shared backend — and
+// rebinds every CU of the GPU to its engine. Warp-global coordination
+// (barrier rendezvous, retirement) stays on the backend engine and is
+// reached over the GPU network.
+func (s *System) partition() {
 	n := s.cfg.GPU.NumCUs + 1
-	engines := make([]*sim.Engine, n)
-	engines[0] = s.eng
+	st := &s.intra
+	st.engines = make([]*sim.Engine, n)
+	st.engines[0] = s.eng
 	for i := 1; i < n; i++ {
-		engines[i] = sim.New()
+		st.engines[i] = sim.New()
 	}
-	lookahead := s.net.MinLatency(noc.CUToL2, noc.CUToIOMMU)
-	reason := s.intraSerialReason(lookahead, traced)
-	workers := req
-	if reason != "" {
-		workers = 1
-	}
-	part := sim.NewPartitioned(engines, lookahead, workers)
-	s.intra = &intraState{
-		part:         part,
-		engines:      engines,
-		routeMsgs:    make([][2]uint64, n),
-		serialReason: reason,
-	}
+	st.lookahead = s.net.MinLatency(noc.CUToL2, noc.CUToIOMMU)
+	st.routeMsgs = make([][2]uint64, n)
 
-	// Front-end components now tell time by their partition's clock.
-	for cu := range s.l1s {
-		e := engines[cu+1]
-		s.l1s[cu].Clock = e.Now
-		s.cuTLBs[cu].Clock = e.Now
-		if len(s.cuTLB2s) > 0 {
-			s.cuTLB2s[cu].Clock = e.Now
-		}
-	}
-
-	// Warp-global coordination (barrier rendezvous, retirement) stays on
-	// the backend engine and is reached over the GPU network.
 	coordLat := s.net.Latency(noc.CUToL2)
 	s.gpu.Partition(
-		func(cu int) *sim.Engine { return engines[cu+1] },
-		func(cu int, fn func()) { part.Send(cu+1, 0, coordLat, fn) },
-		func(cu int, fn func()) { part.Send(0, cu+1, coordLat, fn) },
+		s.cuEng,
+		func(cu int, fn func()) { st.part.Send(cu+1, 0, coordLat, fn) },
+		func(cu int, fn func()) { st.part.Send(0, cu+1, coordLat, fn) },
 	)
+}
 
-	// Gauges register once per System and read through s.intra, so a
-	// system that runs several partitioned kernels back to back (tenant
-	// churn) reports the latest run without re-registering.
-	if !s.intraGauges {
-		s.intraGauges = true
-		s.reg.Gauge("sim.windows", func() float64 { return float64(s.intra.part.Windows()) })
-		s.reg.Gauge("sim.mailbox.crossings", func() float64 { return float64(s.intra.part.Crossings()) })
-		for i := range engines {
-			i := i
-			s.reg.Gauge(fmt.Sprintf("sim.partition.p%d.fired", i), func() float64 {
-				return float64(s.intra.engines[i].Fired())
-			})
+// startRun builds the run's window runner for the requested worker count
+// and brings every partition to the system clock, so a run on a reused
+// system starts all CUs together. The partition gauges register on the
+// first run and read the latest runner thereafter.
+func (s *System) startRun(workers int, traced bool) {
+	st := &s.intra
+	if st.part == nil {
+		s.reg.Gauge("sim.windows", func() float64 { return float64(st.part.Windows()) })
+		s.reg.Gauge("sim.mailbox.crossings", func() float64 { return float64(st.part.Crossings()) })
+		for i, e := range st.engines {
+			e := e
+			s.reg.Gauge(fmt.Sprintf("sim.partition.p%d.fired", i), func() float64 { return float64(e.Fired()) })
 		}
+	}
+	st.serialReason = s.intraSerialReason(traced)
+	if st.serialReason != "" {
+		workers = 1
+	}
+	st.part = sim.NewPartitioned(st.engines, st.lookahead, workers)
+	now := s.simNow()
+	for _, e := range st.engines {
+		e.RunUntil(now)
 	}
 }
 
-// runIntra is RunContext's partitioned-engine body: identical
-// preparation, but execution proceeds in conservative windows with
-// cancellation, metrics snapshots, and progress serviced at barriers. A
-// streamed input's cursor is shared by all partition workers (its segment
-// hand-off is mutex-guarded), and refills are host work, so the windowed
-// schedule is unchanged.
-func (s *System) runIntra(ctx context.Context, in traceInput, o *options) (Results, error) {
-	s.contextSwitch(in.inASID())
-	in.prepare(s)
-	s.enableIntra(o.intra, o.events != nil)
+// runInput is the one run body behind Run, RunContext and RunCursor:
+// prepare, launch, then execute conservative windows with cancellation,
+// metrics snapshots, and progress serviced at barriers. A streamed
+// input's cursor is shared by all partition workers (its segment hand-off
+// is mutex-guarded), and refills are host work, so the windowed schedule
+// is unchanged.
+func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Results, error) {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
 	if o.events != nil {
-		// Re-attach so each emitter stamps with its partition's clock.
 		s.AttachTrace(o.events)
 	}
+	if o.batched {
+		s.enableBatching()
+	}
+	s.contextSwitch(in.inASID())
+	in.prepare(s)
+	s.startRun(o.intra, o.events != nil)
 	completed := false
-	in.launch(s, func() {
+	if err := in.launch(s, func() {
 		completed = true
 		s.finishCycle = s.eng.Now()
-	})
+	}); err != nil {
+		return Results{}, err
+	}
 
 	interval := o.metricsInterval
 	if interval == 0 {
@@ -266,7 +240,7 @@ func (s *System) runIntra(ctx context.Context, in traceInput, o *options) (Resul
 		}
 		if o.wantsMetrics() && limit >= nextSnap {
 			s.flushRouteCounts()
-			s.emitSnapshot(o)
+			s.emitSnapshot(&o)
 			for nextSnap <= limit {
 				nextSnap += interval
 			}
@@ -279,7 +253,9 @@ func (s *System) runIntra(ctx context.Context, in traceInput, o *options) (Resul
 		}
 		return true
 	}
+	s.intra.running = true
 	s.intra.part.Run(onWindow)
+	s.intra.running = false
 	s.flushRouteCounts()
 	if err != nil {
 		return Results{}, err
@@ -293,7 +269,7 @@ func (s *System) runIntra(ctx context.Context, in traceInput, o *options) (Resul
 	s.io.ExtendSampling()
 	res := s.results(in.name())
 	if o.wantsMetrics() {
-		s.emitSnapshot(o)
+		s.emitSnapshot(&o)
 	}
 	return res, o.sinkErr
 }

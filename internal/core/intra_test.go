@@ -107,13 +107,17 @@ func TestIntraInfoReporting(t *testing.T) {
 		t.Errorf("schedule statistics depend on worker count: %+v vs %+v", info1, info4)
 	}
 
-	// Legacy runs report no partitioned state.
-	legacy := MustNew(cfg)
-	if _, err := legacy.RunContext(context.Background(), tr); err != nil {
+	// Before its first run a system reports nothing; an optionless run
+	// reports the same schedule on one worker.
+	plain := MustNew(cfg)
+	if _, ok := plain.IntraInfo(); ok {
+		t.Error("IntraInfo reported before any run")
+	}
+	if _, err := plain.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := legacy.IntraInfo(); ok {
-		t.Error("legacy run unexpectedly reports IntraInfo")
+	if info, ok := plain.IntraInfo(); !ok || info != info1 {
+		t.Errorf("optionless run info = %+v (ok=%v), want %+v", info, ok, info1)
 	}
 
 	// Probe-residency configurations read shared caches from CU paths and

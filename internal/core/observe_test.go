@@ -11,17 +11,28 @@ import (
 	"vcache/internal/obs"
 )
 
-// RunContext with no options must be cycle-for-cycle identical to Run:
-// same event order, same clock, same measurements.
+// Every entry point runs the one schedule: Run, RunContext with no
+// options, and every WithIntraParallelism value (n < 1 means 1) must be
+// cycle-for-cycle identical — same event order, same clock, same
+// measurements.
 func TestRunContextMatchesRun(t *testing.T) {
 	cfg := smallCfg(DesignVCOpt())
-	legacy := MustNew(cfg).Run(divergentTrace("eq", 400, 64))
+	want := MustNew(cfg).Run(divergentTrace("eq", 400, 64))
+	for _, n := range []int{0, -3, 1, 4} {
+		got, err := RunContext(context.Background(), cfg, divergentTrace("eq", 400, 64), WithIntraParallelism(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("RunContext at WithIntraParallelism(%d) differs from Run", n)
+		}
+	}
 	got, err := RunContext(context.Background(), cfg, divergentTrace("eq", 400, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Fatal("RunContext results differ from Run")
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("RunContext without options differs from Run")
 	}
 }
 
@@ -126,7 +137,7 @@ func TestOptionPlumbing(t *testing.T) {
 	}
 }
 
-// The registry must reconcile exactly with the legacy Results counters for
+// The registry must reconcile exactly with the Results counters for
 // a full workload/design run: both read the same underlying stats structs,
 // so any drift means a metric is wired to the wrong field.
 func TestMetricsReconcileWithResults(t *testing.T) {
@@ -191,7 +202,7 @@ func TestMetricsReconcileWithResults(t *testing.T) {
 	check("core.line_merges", value("core.line_merges"), res.LineMerges)
 	check("core.faults.page", value("core.faults.page"), res.Faults.PageFaults)
 
-	// Batched counters must register (and read zero) on a legacy run.
+	// Batched counters must register (and read zero) on a per-line run.
 	check("tlb.batch.calls", value("tlb.batch.calls"), 0)
 	check("iommu.batch.bulk_misses", value("iommu.batch.bulk_misses"), 0)
 }

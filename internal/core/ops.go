@@ -7,8 +7,9 @@ import (
 // Shootdown performs a single-entry TLB shootdown for va's page across the
 // GPU: per-CU TLBs, the shared IOMMU TLB, and — in the virtual-cache
 // designs — the FBT (whose eviction path invalidates the page's cached
-// data) or the virtual L1s directly. Call between runs or from an engine
-// event.
+// data) or the virtual L1s directly. Call between runs, when every
+// partition is idle and the L1 flushes apply directly, or from a backend
+// engine event, when they travel to the CUs as messages.
 func (s *System) Shootdown(va memory.VAddr) {
 	vpn := va.Page()
 	for _, t := range s.cuTLBs {
@@ -43,6 +44,8 @@ func (s *System) Shootdown(va memory.VAddr) {
 // bump plus aggregate accounting; with Config.EagerFlush the FBT scan
 // fires the per-entry eviction path, which the differential tests pin
 // byte-identical to the lazy form.
+// Call between runs: every partition is idle then, so the L1 flushes
+// apply directly.
 func (s *System) FlushGPU() {
 	for _, t := range s.cuTLBs {
 		t.InvalidateAll()
@@ -56,14 +59,6 @@ func (s *System) FlushGPU() {
 	}
 	if s.fbt.Eager {
 		s.fbt.FlushAll()
-		return
-	}
-	if s.intra != nil {
-		// A partitioned run is still wired: the per-entry eviction path owns
-		// the cross-partition L1-flush messages, so scan eagerly.
-		s.fbt.Eager = true
-		s.fbt.FlushAll()
-		s.fbt.Eager = false
 		return
 	}
 	// Lazy: one epoch bump retires the FBT and the whole L2, reproducing

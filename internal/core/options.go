@@ -23,7 +23,7 @@ type options struct {
 	snapshot        func(obs.Snapshot)
 	events          obs.EventSink
 	progress        func(Progress)
-	intra           int  // partitioned-engine worker request (0 = legacy engine)
+	intra           int  // partition worker threads (< 1 means 1)
 	batched         bool // batched translation front-end request
 
 	sinkErr error // first metrics-sink write failure
@@ -34,9 +34,9 @@ func (o *options) wantsMetrics() bool {
 	return o.metricsSink != nil || o.snapshot != nil
 }
 
-// Option customizes a RunContext invocation. Options only add observers;
-// the simulation itself is unaffected, so a run with no options is
-// cycle-for-cycle identical to System.Run.
+// Option customizes a RunContext invocation. Options only add observers
+// or pick the worker count; the simulation itself is unaffected, so a run
+// with no options is cycle-for-cycle identical to System.Run.
 type Option func(*options)
 
 // WithMetricsSink streams interval snapshots of the system's metrics
@@ -68,27 +68,23 @@ func WithEventTrace(sink obs.EventSink) Option {
 	return func(o *options) { o.events = sink }
 }
 
-// WithProgress invokes fn after every engine chunk (about 65k events),
-// with the current cycle and cumulative event count. Useful for liveness
+// WithProgress invokes fn at the first window barrier after every ~65k
+// events, with the barrier cycle and cumulative event count. Useful for liveness
 // reporting on long runs; the callback must not mutate the system.
 func WithProgress(fn func(Progress)) Option {
 	return func(o *options) { o.progress = fn }
 }
 
-// WithIntraParallelism runs the simulation on the partitioned event
-// engine with up to n worker threads: each CU's front end (warps,
-// coalescer, L1, per-CU TLBs) becomes its own partition, the shared
+// WithIntraParallelism runs the simulation on up to n worker threads.
+// Every run uses the partitioned event schedule: each CU's front end
+// (warps, coalescer, L1, per-CU TLBs) is its own partition, the shared
 // back end (L2, IOMMU, FBT, page walker, DRAM) another, synchronized at
 // conservative cycle windows sized by the minimum cross-partition NoC
-// latency. The partitioned schedule is a pure function of the
-// configuration: results and metrics are byte-identical for every n >= 1,
-// so n only trades wall-clock time. n is clamped to the partition count
-// and GOMAXPROCS; configurations the partitioner cannot split safely
-// (see System.IntraInfo) run the same schedule on one worker.
-//
-// n = 1 selects the partitioned schedule serially; 0 (the default, i.e.
-// the option absent) keeps the legacy single-engine schedule, which
-// remains cycle-for-cycle identical to System.Run.
+// latency. The schedule is a pure function of the configuration: results
+// and metrics are byte-identical for every n, so n only trades wall-clock
+// time. n < 1 (or the option absent) means 1; n is clamped to the
+// partition count and GOMAXPROCS; configurations the partitioner cannot
+// split safely (see System.IntraInfo) run on one worker.
 func WithIntraParallelism(n int) Option {
 	return func(o *options) { o.intra = n }
 }
@@ -99,7 +95,7 @@ func WithIntraParallelism(n int) Option {
 // batch — one per-CU TLB probe per distinct page, hits peeled inline, the
 // residual miss set bulk-submitted to the IOMMU. The schedule is
 // deterministic (and byte-identical across WithIntraParallelism worker
-// counts) but intentionally different from the legacy per-line path; use
+// counts) but intentionally different from the per-line path; use
 // Config.BatchedTranslation instead when results feed the artifact cache,
 // so the flag participates in the cache key. No-op for designs without a
 // per-CU-TLB front end (VirtualHierarchy, IdealMMU).

@@ -33,10 +33,7 @@ func chunkWorkload(t *testing.T, g workloads.Generator, p workloads.Params) []by
 func runMaterialized(t *testing.T, cfg Config, tr *trace.Trace, workers int) (Results, obs.Snapshot) {
 	t.Helper()
 	var last obs.Snapshot
-	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s })}
-	if workers > 1 {
-		opts = append(opts, WithIntraParallelism(workers))
-	}
+	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s }), WithIntraParallelism(workers)}
 	res, err := RunContext(context.Background(), cfg, tr, opts...)
 	if err != nil {
 		t.Fatalf("RunContext(workers=%d): %v", workers, err)
@@ -52,10 +49,7 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 	}
 	defer c.Close()
 	var last obs.Snapshot
-	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s })}
-	if workers > 1 {
-		opts = append(opts, WithIntraParallelism(workers))
-	}
+	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s }), WithIntraParallelism(workers)}
 	res, err := RunCursor(context.Background(), cfg, c, opts...)
 	if err != nil {
 		t.Fatalf("RunCursor(workers=%d): %v", workers, err)
@@ -67,8 +61,7 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 // the streaming front end: for every workload in the catalog, replaying
 // the chunked stream must produce byte-identical Results (EncodeResults)
 // and identical final metrics snapshots as simulating the fully
-// materialized trace, on both the legacy engine and the partitioned
-// engine at 4 workers.
+// materialized trace, at 1 and 4 workers.
 func TestStreamedRunMatchesMaterialized(t *testing.T) {
 	p := streamTestParams()
 	cfg := DesignVCOpt()
@@ -139,5 +132,24 @@ func TestStreamedRunTruncatedStreamFails(t *testing.T) {
 	defer c.Close()
 	if _, err := RunCursor(context.Background(), DesignIdeal(), c); err == nil {
 		t.Fatal("RunCursor on corrupted stream succeeded; want error")
+	}
+}
+
+// TestRunRejectsTraceWiderThanGPU: a trace with more CUs than the GPU is
+// an error from the run body for both front ends, never a panic.
+func TestRunRejectsTraceWiderThanGPU(t *testing.T) {
+	cfg := smallCfg(DesignVCOpt()) // 4 CUs; streamTestParams wants 8
+	p := streamTestParams()
+	g, _ := workloads.ByName("kmeans")
+	if _, err := RunContext(context.Background(), cfg, g.Build(p)); err == nil {
+		t.Error("RunContext accepted an 8-CU trace on a 4-CU GPU")
+	}
+	c, err := trace.NewCursor(bytes.NewReader(chunkWorkload(t, g, p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := RunCursor(context.Background(), cfg, c); err == nil {
+		t.Error("RunCursor accepted an 8-CU trace on a 4-CU GPU")
 	}
 }

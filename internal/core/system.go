@@ -85,9 +85,8 @@ type System struct {
 	lifetimes *Lifetimes  // backend L2 CDF during the run; merged in results()
 
 	// cuStats holds every counter a CU front end increments on its own:
-	// one slot per CU so a partitioned run never shares a counter (or a
-	// waiter-list pool) between workers. Legacy runs use the same slots
-	// and sum them at results time, so totals are unchanged.
+	// one slot per CU so a run never shares a counter (or a waiter-list
+	// pool) between partition workers; results sum the slots.
 	cuStats []cuCounters
 
 	// tlbPending merges concurrent same-page TLB misses per CU; l2Pending
@@ -109,8 +108,7 @@ type System struct {
 	fillsSincePage int
 	finishCycle    uint64 // cycle the last warp retired
 
-	intra       *intraState // non-nil once enableIntra has partitioned the run
-	intraGauges bool        // partition gauges registered (once per System)
+	intra intraState // the partitioned event schedule (intra.go)
 
 	reg *obs.Registry
 }
@@ -143,6 +141,8 @@ func New(cfg Config) (*System, error) {
 	s.net.AddLink(noc.CUToL2, cfg.Lat.CUToL2, 0)
 	s.net.AddLink(noc.CUToIOMMU, cfg.Lat.CUToIOMMU, 0)
 	s.net.AddLink(noc.L2ToIOMMU, cfg.Lat.L2ToIOMMU, 0)
+	s.gpu = gpu.New(eng, cfg.GPU, s)
+	s.partition()
 
 	s.mem = dram.New(eng, cfg.DRAM)
 	s.alloc = memory.NewFrameAlloc(1 << 20)
@@ -169,7 +169,7 @@ func New(cfg Config) (*System, error) {
 	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
 		l1 := cache.New(cfg.L1)
-		l1.Clock = eng.Now
+		l1.Clock = s.cuEng(i).Now
 		s.l1s = append(s.l1s, l1)
 		s.filters = append(s.filters, make(map[memory.VPN]int))
 		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]func(memory.PTE, bool)))
@@ -177,11 +177,11 @@ func New(cfg Config) (*System, error) {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
 		t := tlb.New(cfg.PerCUTLB)
-		t.Clock = eng.Now
+		t.Clock = s.cuEng(i).Now
 		s.cuTLBs = append(s.cuTLBs, t)
 		if cfg.PerCUTLB2 != (tlb.Config{}) {
 			t2 := tlb.New(cfg.PerCUTLB2)
-			t2.Clock = eng.Now
+			t2.Clock = s.cuEng(i).Now
 			s.cuTLB2s = append(s.cuTLB2s, t2)
 		}
 	}
@@ -231,7 +231,6 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 
-	s.gpu = gpu.New(eng, cfg.GPU, s)
 	if cfg.BatchedTranslation {
 		s.enableBatching()
 	}
@@ -328,13 +327,9 @@ func (s *System) buildRegistry() {
 	})
 }
 
-// simNow returns the simulation clock: the legacy engine's clock, or in a
-// partitioned run the furthest-ahead partition (at window barriers all
-// partitions agree).
+// simNow returns the simulation clock: the furthest-ahead partition (at
+// window barriers and between runs all partitions agree).
 func (s *System) simNow() uint64 {
-	if s.intra == nil {
-		return s.eng.Now()
-	}
 	var max uint64
 	for _, e := range s.intra.engines {
 		if n := e.Now(); n > max {
@@ -346,9 +341,6 @@ func (s *System) simNow() uint64 {
 
 // totalFired returns events executed across all engines.
 func (s *System) totalFired() uint64 {
-	if s.intra == nil {
-		return s.eng.Fired()
-	}
 	var t uint64
 	for _, e := range s.intra.engines {
 		t += e.Fired()
@@ -359,9 +351,6 @@ func (s *System) totalFired() uint64 {
 // totalPending returns queued events across all engines (cross-partition
 // messages still in mailboxes are not counted).
 func (s *System) totalPending() int {
-	if s.intra == nil {
-		return s.eng.Pending()
-	}
 	t := 0
 	for _, e := range s.intra.engines {
 		t += e.Pending()
@@ -374,9 +363,8 @@ func (s *System) totalPending() int {
 func (s *System) Metrics() *obs.Registry { return s.reg }
 
 // AttachTrace points every component event emitter at sink, stamping
-// events with the owning engine's clock (the per-CU partition clocks in a
-// partitioned run). Passing nil detaches them, restoring the free
-// disabled path.
+// events with the owning partition's clock. Passing nil detaches them,
+// restoring the free disabled path.
 func (s *System) AttachTrace(sink obs.EventSink) {
 	emitter := func(comp string, clock func() uint64) *obs.Emitter {
 		if sink == nil {
@@ -398,8 +386,9 @@ func (s *System) AttachTrace(sink obs.EventSink) {
 	}
 }
 
-// Engine exposes the event engine (examples and tests drive it directly
-// for coherence/shootdown scenarios).
+// Engine exposes the shared back end's engine, whose clock stamps
+// Results.Cycles (examples and tests drive it directly between runs for
+// coherence scenarios).
 func (s *System) Engine() *sim.Engine { return s.eng }
 
 // Space exposes the current address space so callers can install synonym
@@ -532,55 +521,43 @@ type traceInput interface {
 	name() string
 	inASID() memory.ASID
 	prepare(s *System)
-	launch(s *System, onComplete func())
+	launch(s *System, onComplete func()) error
 	finishErr() error
 }
 
 type materializedInput struct{ tr *trace.Trace }
 
-func (m materializedInput) name() string                  { return m.tr.Name }
-func (m materializedInput) inASID() memory.ASID           { return m.tr.ASID }
-func (m materializedInput) prepare(s *System)             { s.Prepare(m.tr) }
-func (m materializedInput) launch(s *System, done func()) { s.gpu.Launch(m.tr, done) }
-func (m materializedInput) finishErr() error              { return nil }
+func (m materializedInput) name() string                        { return m.tr.Name }
+func (m materializedInput) inASID() memory.ASID                 { return m.tr.ASID }
+func (m materializedInput) prepare(s *System)                   { s.Prepare(m.tr) }
+func (m materializedInput) launch(s *System, done func()) error { return s.gpu.Launch(m.tr, done) }
+func (m materializedInput) finishErr() error                    { return nil }
 
 type cursorInput struct{ c *trace.Cursor }
 
-func (ci cursorInput) name() string                  { return ci.c.Name() }
-func (ci cursorInput) inASID() memory.ASID           { return ci.c.ASID() }
-func (ci cursorInput) prepare(s *System)             { s.PrepareCursor(ci.c) }
-func (ci cursorInput) launch(s *System, done func()) { s.gpu.LaunchStream(ci.c, done) }
-func (ci cursorInput) finishErr() error              { return ci.c.Err() }
+func (ci cursorInput) name() string                        { return ci.c.Name() }
+func (ci cursorInput) inASID() memory.ASID                 { return ci.c.ASID() }
+func (ci cursorInput) prepare(s *System)                   { s.PrepareCursor(ci.c) }
+func (ci cursorInput) launch(s *System, done func()) error { return s.gpu.LaunchStream(ci.c, done) }
+func (ci cursorInput) finishErr() error                    { return ci.c.Err() }
 
 // Run prepares and executes the trace to completion, returning results.
-// It panics on a modeling deadlock; RunContext is the error-returning,
-// cancellable, observable form.
+// It panics on a modeling deadlock or a trace the GPU cannot hold;
+// RunContext is the error-returning, cancellable, observable form.
 func (s *System) Run(tr *trace.Trace) Results {
-	s.contextSwitch(tr.ASID)
-	s.Prepare(tr)
-	completed := false
-	s.gpu.Launch(tr, func() {
-		completed = true
-		s.finishCycle = s.eng.Now()
-	})
-	s.eng.Run() // drains trailing store/writeback events past finishCycle
-	if !completed {
-		panic(ErrDeadlock)
+	res, err := s.RunContext(context.Background(), tr)
+	if err != nil {
+		panic(err)
 	}
-	s.io.ExtendSampling()
-	return s.results(tr.Name)
+	return res
 }
 
 // RunContext prepares and executes the trace to completion, honouring ctx
-// and the given options. Cancellation is checked between event chunks
-// (~65k events), so a cancelled run stops mid-simulation and returns
-// ctx.Err(). With no options the simulation is cycle-for-cycle identical
-// to Run: events execute one Step at a time in the same order, and the
-// clock never advances past the last real event.
-//
-// WithIntraParallelism selects the partitioned engine instead: a
-// different but equally deterministic schedule, byte-identical for every
-// worker count (see intra.go).
+// and the given options. Cancellation is checked at window barriers, so a
+// cancelled run stops mid-simulation and returns ctx.Err(). The schedule
+// is the partitioned one (see intra.go): byte-identical for every
+// WithIntraParallelism worker count. A trace with more CUs than the GPU
+// is an error.
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option) (Results, error) {
 	return s.runInput(ctx, materializedInput{tr}, opts)
 }
@@ -593,81 +570,6 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option
 // that fails mid-run (truncation, corruption) returns the cursor's error.
 func (s *System) RunCursor(ctx context.Context, c *trace.Cursor, opts ...Option) (Results, error) {
 	return s.runInput(ctx, cursorInput{c}, opts)
-}
-
-func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Results, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.events != nil {
-		s.AttachTrace(o.events)
-	}
-	if o.batched {
-		s.enableBatching()
-	}
-	if o.intra > 0 {
-		return s.runIntra(ctx, in, &o)
-	}
-
-	s.contextSwitch(in.inASID())
-	in.prepare(s)
-	completed := false
-	in.launch(s, func() {
-		completed = true
-		s.finishCycle = s.eng.Now()
-	})
-	if o.wantsMetrics() {
-		s.scheduleSnapshots(&o)
-	}
-
-	const chunk = 1 << 16
-	for {
-		if err := ctx.Err(); err != nil {
-			return Results{}, err
-		}
-		n := 0
-		for n < chunk && s.eng.Step() {
-			n++
-		}
-		if o.progress != nil && n > 0 {
-			o.progress(Progress{Cycle: s.eng.Now(), Events: s.eng.Fired()})
-		}
-		if n < chunk {
-			break // queue drained
-		}
-	}
-	if err := in.finishErr(); err != nil {
-		return Results{}, err
-	}
-	if !completed {
-		return Results{}, ErrDeadlock
-	}
-	s.io.ExtendSampling()
-	res := s.results(in.name())
-	if o.wantsMetrics() {
-		s.emitSnapshot(&o) // final totals at the end-of-run cycle
-	}
-	return res, o.sinkErr
-}
-
-// scheduleSnapshots starts the interval-snapshot tick: a self-rescheduling
-// engine event that emits one snapshot per interval and stops once the
-// event queue would otherwise be empty, so it never keeps the run alive.
-func (s *System) scheduleSnapshots(o *options) {
-	interval := o.metricsInterval
-	if interval == 0 {
-		interval = defaultMetricsInterval
-	}
-	var tick func()
-	tick = func() {
-		if s.eng.Pending() == 0 {
-			return // simulation over; RunContext emits the final snapshot
-		}
-		s.emitSnapshot(o)
-		s.eng.Schedule(interval, tick)
-	}
-	s.eng.Schedule(interval, tick)
 }
 
 // emitSnapshot reads the registry once and feeds every attached consumer.
@@ -747,31 +649,16 @@ func (s *System) onFBTEvict(v fbt.View) {
 			}
 		}
 	}
-	if s.intra != nil {
-		// Partitioned run: filters and L1s are front-end state, so the
-		// flush decision and the flush itself travel to each CU as a
-		// cross-partition message over the GPU network.
-		for cu := range s.l1s {
-			cu := cu
-			s.sendToCU(cu, noc.CUToL2, func() {
-				if !s.cfg.InvFilter || s.filters[cu][v.LVPN] > 0 {
-					s.flushL1(cu)
-				}
-			})
-		}
-		return
-	}
-	if !s.cfg.InvFilter {
-		// Without filters every L1 must flush.
-		for cu := range s.l1s {
-			s.flushL1(cu)
-		}
-		return
-	}
+	// Filters and L1s are front-end state, so during a run the flush
+	// decision and the flush itself travel to each CU as a
+	// cross-partition message over the GPU network.
 	for cu := range s.l1s {
-		if s.filters[cu][v.LVPN] > 0 {
-			s.flushL1(cu)
-		}
+		cu := cu
+		s.sendToCU(cu, noc.CUToL2, func() {
+			if !s.cfg.InvFilter || s.filters[cu][v.LVPN] > 0 {
+				s.flushL1(cu)
+			}
+		})
 	}
 }
 

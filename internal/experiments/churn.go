@@ -50,9 +50,10 @@ type ChurnPoint struct {
 }
 
 // RunChurn replays the churn plan against one design and returns the grid
-// point. The config's CU count is forced to the plan's so every kernel's
-// warps land on real CUs.
-func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
+// point; opts apply to every kernel run (the worker count never changes
+// the point). The config's CU count is forced to the plan's so every
+// kernel's warps land on real CUs.
+func RunChurn(cfg core.Config, p workloads.ChurnParams, opts ...core.Option) ChurnPoint {
 	p = p.Normalized()
 	cfg.GPU.NumCUs = p.NumCUs
 	pl := workloads.BuildChurnPlan(p)
@@ -70,6 +71,12 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 		Design: cfg.Name, Tenants: p.Tenants, IOMMUBW: cfg.IOMMU.LookupsPerCycle,
 		Launches: len(pl.Launches), Retires: pl.Retires(),
 	}
+	// The system clock: every partition starts a run there, and it reads
+	// the furthest-ahead partition once a run drains.
+	clock := func() uint64 {
+		v, _ := sys.Metrics().Value("sim.cycles")
+		return uint64(v)
+	}
 	completions := make([]uint64, 0, len(pl.Launches))
 	var waits []float64
 	var prevDone uint64
@@ -84,11 +91,11 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 				sp.MapFrame(workloads.ChurnSharedBase+memory.VAddr(i)*memory.PageSize, ppn, memory.PermRead)
 			}
 		}
-		start := sys.Engine().Now()
-		if _, err := sys.RunContext(context.Background(), pl.KernelTrace(l)); err != nil {
+		start := clock()
+		if _, err := sys.RunContext(context.Background(), pl.KernelTrace(l), opts...); err != nil {
 			panic(err) // ErrDeadlock: a modeling bug, matching Suite.run
 		}
-		service := sys.Engine().Now() - start
+		service := clock() - start
 		pt.ServiceCycles += service
 
 		// Open-loop backlog: the kernel starts when the device frees up or
@@ -186,7 +193,7 @@ func (s *Suite) Churn() ([]ChurnPoint, string) {
 	}
 	points := make([]ChurnPoint, len(jobs))
 	_ = forEachLimit(len(jobs), s.workers(), func(i int) error {
-		points[i] = RunChurn(jobs[i].cfg, jobs[i].p)
+		points[i] = RunChurn(jobs[i].cfg, jobs[i].p, core.WithIntraParallelism(s.intraDefault()))
 		return nil
 	})
 	t := &report.Table{

@@ -210,11 +210,11 @@ func (g *GPU) Stats() Stats {
 
 // Launch binds the trace's warp streams to CU contexts and schedules them
 // to begin at the current cycle. onComplete fires when every warp has
-// retired its last instruction. Launch panics if the trace has more CUs
-// than the GPU.
-func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
-	if len(tr.CUs) > len(g.cus) {
-		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", len(tr.CUs), len(g.cus)))
+// retired its last instruction. A trace with more CUs than the GPU is an
+// error, and nothing is scheduled.
+func (g *GPU) Launch(tr *trace.Trace, onComplete func()) error {
+	if err := g.fits(len(tr.CUs)); err != nil {
+		return err
 	}
 	g.onComplete = onComplete
 	for ci := range tr.CUs {
@@ -229,15 +229,8 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 			g.liveWarps++
 		}
 	}
-	if g.liveWarps == 0 {
-		g.eng.Schedule(0, g.complete)
-		return
-	}
-	for _, c := range g.cus {
-		for _, w := range c.warps {
-			c.eng.ScheduleEvent(0, w, warpStep)
-		}
-	}
+	g.start()
+	return nil
 }
 
 // LaunchStream is Launch for an incrementally-fed trace: warp contexts
@@ -246,9 +239,9 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 // instructions segment by segment from src as it executes. The event
 // schedule is identical to a Launch of the materialized equivalent —
 // refills are pure host work inside the same warp event.
-func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
-	if src.NumCUs() > len(g.cus) {
-		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", src.NumCUs(), len(g.cus)))
+func (g *GPU) LaunchStream(src StreamSource, onComplete func()) error {
+	if err := g.fits(src.NumCUs()); err != nil {
+		return err
 	}
 	g.onComplete = onComplete
 	for ci := 0; ci < src.NumCUs(); ci++ {
@@ -263,6 +256,21 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 			g.liveWarps++
 		}
 	}
+	g.start()
+	return nil
+}
+
+// fits reports whether a trace of n CUs can run on this GPU.
+func (g *GPU) fits(n int) error {
+	if n > len(g.cus) {
+		return fmt.Errorf("gpu: trace wants %d CUs, GPU has %d", n, len(g.cus))
+	}
+	return nil
+}
+
+// start schedules every bound warp's first step, or completion at once
+// when no warp has work.
+func (g *GPU) start() {
 	if g.liveWarps == 0 {
 		g.eng.Schedule(0, g.complete)
 		return

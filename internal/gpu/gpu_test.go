@@ -34,12 +34,30 @@ func run(t *testing.T, tr *trace.Trace, cfg Config, latency uint64) (*sim.Engine
 	p := &recordingPath{eng: eng, latency: latency}
 	g := New(eng, cfg, p)
 	completed := false
-	g.Launch(tr, func() { completed = true })
+	if err := g.Launch(tr, func() { completed = true }); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	if !completed {
 		t.Fatal("GPU never completed")
 	}
 	return eng, g, p
+}
+
+// A trace wider than the GPU is refused before anything is scheduled.
+func TestLaunchRejectsTooManyCUs(t *testing.T) {
+	eng := sim.New()
+	cfg := DefaultConfig()
+	cfg.NumCUs = 2
+	g := New(eng, cfg, &recordingPath{eng: eng})
+	b := trace.NewBuilder("wide", 1, 4, 1)
+	b.Warp().Load(0x1000)
+	if err := g.Launch(b.Build(), func() {}); err == nil {
+		t.Fatal("Launch accepted a 4-CU trace on a 2-CU GPU")
+	}
+	if eng.Pending() != 0 || g.LiveWarps() != 0 {
+		t.Fatalf("rejected launch left %d events, %d live warps", eng.Pending(), g.LiveWarps())
+	}
 }
 
 func TestCoalescedIssue(t *testing.T) {

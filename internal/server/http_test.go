@@ -251,6 +251,31 @@ func TestHTTPRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// A spec whose trace needs more CUs than its design's GPU is a 400, and
+// the daemon keeps serving: the next valid job still succeeds.
+func TestHTTPRejectsCUMismatchAndKeepsServing(t *testing.T) {
+	client, _ := newHTTPServer(t)
+	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"api_version":"v1","workload":{"name":"nw","params":{"num_cus":32}},"design":{"preset":"vc-opt"}}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("32-CU spec on a 16-CU design got %d, want 400", resp.StatusCode)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	info, err := client.SubmitWait(ctx, nwSpec())
+	if err != nil {
+		t.Fatalf("SubmitWait after rejected spec: %v", err)
+	}
+	if info.State != apiv1.JobDone {
+		t.Fatalf("job state %s (%s), want done", info.State, info.Error)
+	}
+}
+
 func TestHTTPResultsIndex(t *testing.T) {
 	client, _ := newHTTPServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

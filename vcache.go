@@ -31,7 +31,9 @@
 //	    vcache.WithEventTrace(traceProcess),   // cycle-stamped component events
 //	    vcache.WithProgress(func(p vcache.Progress) { log.Println(p.Cycle) }))
 //
-// A run with no options is cycle-for-cycle identical to Run. Per-component
+// Every entry point runs the same event schedule, so a run with no options
+// is cycle-for-cycle identical to Run, and WithIntraParallelism only picks
+// the worker count. Per-component
 // metrics (hierarchical names like "l1.cu3.read_hits", "iommu.tlb.misses",
 // "ptw.walks.inflight") are available on any System via Metrics(); event
 // traces written through NewTraceWriter load directly into the
@@ -217,9 +219,8 @@ var (
 	WithEventTrace = core.WithEventTrace
 	// WithProgress reports liveness during long runs.
 	WithProgress = core.WithProgress
-	// WithIntraParallelism runs the simulation on n worker threads using
-	// the partitioned event engine with conservative cycle windows; results
-	// are byte-identical at any n.
+	// WithIntraParallelism runs the simulation on n worker threads (n < 1
+	// means 1); results are byte-identical at any n.
 	WithIntraParallelism = core.WithIntraParallelism
 	// WithBatchedTranslation enables the batched translation front-end
 	// (warp-level TranslateLines with page-chunk dedup and bulk IOMMU miss

@@ -207,6 +207,10 @@ func (s JobSpec) Resolve() (core.Config, workloads.Params, error) {
 	if err := cfg.Validate(); err != nil {
 		return zero, workloads.Params{}, &SpecError{Field: "design.config", Reason: err.Error(), Err: err}
 	}
+	if cfg.Faults != core.CountFaults {
+		// PanicOnFault is a test hook: a fault would crash the daemon.
+		return zero, workloads.Params{}, &SpecError{Field: "design.config", Reason: "Faults must be CountFaults (0); other fault policies are not served"}
+	}
 	if p.NumCUs > cfg.GPU.NumCUs {
 		return zero, workloads.Params{}, &SpecError{
 			Field:  "workload.params.num_cus",

@@ -37,6 +37,18 @@ func TestDecodeJobSpecValid(t *testing.T) {
 	}
 }
 
+// panicOnFaultSpecJSON is a job whose inline config is the vc-opt preset
+// with the test-only PanicOnFault policy.
+func panicOnFaultSpecJSON() string {
+	cfg := core.DesignVCOpt()
+	cfg.Faults = core.PanicOnFault
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":` + string(b) + `}}`
+}
+
 func TestDecodeJobSpecRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -59,6 +71,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad mmu kind", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{"Kind":"telepathic"}}}`, "telepathic"},
 		{"negative override", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"preset":"vc","iommu_lookups_per_cycle":-1}}`, "iommu_lookups_per_cycle"},
 		{"more CUs than the GPU", `{"api_version":"v1","workload":{"name":"nw","params":{"num_cus":32}},"design":{"preset":"vc-opt"}}`, "workload.params.num_cus"},
+		{"panic on fault", panicOnFaultSpecJSON(), "Faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

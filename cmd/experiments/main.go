@@ -13,8 +13,8 @@
 // and deterministic, so the figure text is byte-identical at any
 // -parallel setting; only wall-clock time changes.
 //
-// Runs are incremental: traces and results are stored in a
-// content-addressed on-disk cache (default out/cache, or $VCACHE_DIR, or
+// Runs are incremental: results (and -stream's chunked traces) are stored
+// in a content-addressed on-disk cache (default out/cache, or $VCACHE_DIR, or
 // -cache-dir), so re-running with unchanged inputs reloads results instead
 // of resimulating and produces byte-identical output. -no-cache disables
 // the cache, -cache-stats reports its traffic.

@@ -7,6 +7,11 @@
 //
 //	tracegen                    # summarize all 15 workloads
 //	tracegen -workload fw -v    # per-kind breakdown for one workload
+//	tracegen -workload nw -o nw.ctrace
+//
+// -o saves chunked (v4) trace files, the format vcsim -tracefile and
+// vcache.LoadTrace read. Chunks are written as the generator emits them,
+// so peak memory stays bounded by -chunk-budget even at large -scale.
 package main
 
 import (
@@ -25,17 +30,11 @@ func main() {
 	seed := flag.Uint64("seed", 42, "synthetic input seed")
 	cus := flag.Int("cus", 16, "number of compute units")
 	warps := flag.Int("warps", 8, "warp contexts per CU")
-	verbose := flag.Bool("v", false, "per-CU warp stream lengths")
-	out := flag.String("o", "", "save the generated trace(s) to this file (single workload) or directory")
-	chunked := flag.Bool("chunked", false, "save as a chunked (v4) stream: chunks are written as the generator emits them, so peak memory stays bounded by -chunk-budget even at large -scale")
-	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -chunked (0 = default 4MB)")
-	compress := flag.Bool("compress", false, "flate-compress chunk payloads (-chunked only)")
+	verbose := flag.Bool("v", false, "per-CU warp stream lengths (without -o)")
+	out := flag.String("o", "", "stream the generated trace(s) as chunked (v4) files to this file (single workload) or directory")
+	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -o (0 = default 4MB)")
+	compress := flag.Bool("compress", false, "flate-compress chunk payloads (-o only)")
 	flag.Parse()
-
-	if *chunked && *out == "" {
-		fmt.Fprintln(os.Stderr, "-chunked requires -o")
-		os.Exit(1)
-	}
 
 	p := workloads.Params{Scale: *scale, NumCUs: *cus, WarpsPerCU: *warps, Seed: *seed}
 	gens := workloads.All()
@@ -48,7 +47,7 @@ func main() {
 		gens = []workloads.Generator{g}
 	}
 	for _, g := range gens {
-		if *chunked {
+		if *out != "" {
 			// Stream straight to disk: the trace is never materialized, so
 			// -scale 100 runs generate in chunk-budget-bounded memory.
 			path := *out
@@ -62,20 +61,8 @@ func main() {
 			continue
 		}
 		fmt.Println(workloads.Describe(g, p))
-		tr := g.Build(p)
 		if *verbose {
-			dump(tr)
-		}
-		if *out != "" {
-			path := *out
-			if len(gens) > 1 {
-				path = filepath.Join(*out, g.Name+".trace")
-			}
-			if err := tr.Save(path); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("    saved %s\n", path)
+			dump(g.Build(p))
 		}
 	}
 }

@@ -21,18 +21,17 @@
 // that loads into chrome://tracing or the Perfetto UI. Both are off by
 // default and cost nothing when unused.
 //
-// Generated traces and simulation results are cached on disk (default
-// out/cache, or $VCACHE_DIR, or -cache-dir) keyed by workload parameters
-// and the full design config, so repeated invocations replay from the
-// cache with byte-identical output. -no-cache disables this; -metrics and
-// -events runs always simulate live.
+// Simulation results are cached on disk (default out/cache, or
+// $VCACHE_DIR, or -cache-dir) keyed by workload parameters and the full
+// design config, so repeated invocations answer from the cache with
+// byte-identical output. -no-cache disables this; -metrics and -events
+// runs always simulate live.
 //
 // -stream replays the workload from a chunked (v4) trace stream instead
 // of a materialized trace: per-run memory stays bounded by -chunk-budget
 // (default 4MB) at any -scale, and results are byte-identical to the
-// materialized path. -tracefile accepts both materialized (v3) and
-// chunked (v4) files, auto-detected; write the latter with
-// tracegen -chunked.
+// materialized path. -tracefile streams a v4 trace file written by
+// tracegen -o the same way.
 package main
 
 import (
@@ -88,7 +87,7 @@ var designNames = []string{
 
 func main() {
 	wl := flag.String("workload", "pagerank", "workload name")
-	traceFile := flag.String("tracefile", "", "replay a saved trace instead of generating one")
+	traceFile := flag.String("tracefile", "", "stream a v4 trace file (tracegen -o) instead of generating one")
 	design := flag.String("design", "baseline-512",
 		"MMU design(s), comma-separated or 'all': "+strings.Join(designNames, ", "))
 	scale := flag.Int("scale", 1, "workload input scale factor")
@@ -169,10 +168,10 @@ func main() {
 		}
 	}
 
-	// Trace acquisition. Two front ends feed the simulations: a fully
-	// materialized *trace.Trace, or — for -stream runs and chunked (v4)
-	// trace files — a path that each simulation opens its own streaming
-	// cursor over, so the whole trace is never resident.
+	// Trace acquisition. Two front ends feed the simulations: a freshly
+	// generated *trace.Trace, or — for -stream runs and -tracefile — a v4
+	// file that each simulation opens its own streaming cursor over, so
+	// the whole trace is never resident.
 	var tr *trace.Trace
 	var streamPath string
 	var s trace.Summary
@@ -180,32 +179,16 @@ func main() {
 	haveKey := false
 	switch {
 	case *traceFile != "":
-		// An explicit trace file has no derivable cache identity; replay it
-		// as given and compute results live. The format is sniffed: v3
-		// loads fully, v4 streams.
-		chunked, err := trace.IsChunkedFile(*traceFile)
+		// An explicit trace file has no derivable cache identity; stream it
+		// as given and compute results live.
+		streamPath = *traceFile
+		cur, err := trace.OpenCursorFile(streamPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if chunked {
-			streamPath = *traceFile
-			cur, err := trace.OpenCursorFile(streamPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			s = cur.Summary()
-			cur.Close()
-		} else {
-			var err error
-			tr, err = trace.LoadFile(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			s = tr.Summarize()
-		}
+		s = cur.Summary()
+		cur.Close()
 	case *stream:
 		g, ok := workloads.ByName(*wl)
 		if !ok {
@@ -232,10 +215,7 @@ func main() {
 		}
 		p := workloads.Params{Scale: *scale, NumCUs: *cus, WarpsPerCU: *warps, Seed: *seed}
 		traceKey, haveKey = artifact.TraceKey(g.Name, p), true
-		if tr = cache.GetTrace(traceKey); tr == nil {
-			tr = g.Build(p)
-			cache.PutTrace(traceKey, tr)
-		}
+		tr = g.Build(p)
 		s = tr.Summarize()
 	}
 	// Results can come from the cache only when nothing needs a live

@@ -1,34 +1,37 @@
 // Package artifact is a content-addressed on-disk cache for the expensive
-// artifacts of the experiment pipeline: generated workload traces and
-// simulation results. It is what makes re-runs incremental — a suite whose
+// artifacts of the experiment pipeline: simulation results and chunked
+// (v4) trace streams. It is what makes re-runs incremental — a suite whose
 // inputs haven't changed reloads every result from disk instead of
 // regenerating traces and resimulating.
 //
 // Keys are fingerprints (see internal/fingerprint) over everything that
 // determines an artifact's bytes:
 //
-//   - a trace is keyed by workload name + normalized workloads.Params +
-//     trace.FormatVersion + workloads.GeneratorVersion;
-//   - a result is keyed by the trace's key + core.ConfigFingerprint (which
-//     covers every exported Config field plus core.SimVersion).
+//   - a trace is identified by workload name + normalized
+//     workloads.Params + workloads.GeneratorVersion (TraceKey);
+//   - a result is keyed by that trace identity + core.ConfigFingerprint
+//     (which covers every exported Config field plus core.SimVersion);
+//   - a chunked trace stream is keyed like a trace, plus
+//     trace.ChunkFormatVersion (ChunkedTraceKey).
 //
 // Bumping any of the version constants, or changing any config field,
 // therefore changes the key and old entries simply stop being found — no
 // explicit invalidation step exists or is needed. Stale files are garbage
 // that a `rm -r` of the cache directory clears.
 //
-// Entries are stored one file per artifact under <dir>/trace/ and
-// <dir>/result/, named by the key's hex digest, wrapped in a checksummed
-// envelope. Reads validate the envelope and payload before use: a corrupt,
-// truncated or version-mismatched entry counts as a miss (and is noted in
-// Stats.Corrupt), never an error — the caller recomputes and overwrites it.
-// Writes go through a temp file in the same directory followed by an atomic
-// rename, so concurrent processes sharing a cache directory never observe
-// partial entries.
+// Results are stored one file per entry under <dir>/result/, named by the
+// key's hex digest, wrapped in a checksummed envelope. Reads validate the
+// envelope and payload before use: a corrupt, truncated or
+// version-mismatched entry counts as a miss (and is noted in
+// Stats.Corrupt), never an error — the caller recomputes and overwrites
+// it. Chunked streams live under <dir>/ctrace/ as raw v4 files. Writes go
+// through a temp file in the same directory followed by an atomic rename,
+// so concurrent processes sharing a cache directory never observe partial
+// entries. Materialized traces are not cached: regenerating one is as
+// cheap as decoding it.
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,7 +139,7 @@ func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		dir = DefaultDir()
 	}
-	for _, sub := range []string{"trace", "result", "ctrace"} {
+	for _, sub := range []string{"result", "ctrace"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o777); err != nil {
 			return nil, fmt.Errorf("artifact: opening cache: %w", err)
 		}
@@ -191,12 +194,16 @@ func (c *Cache) Observe(sc obs.Scope) {
 // ---------------------------------------------------------------------------
 // Keys
 
+// traceKeyFormat is hashed into TraceKey where the retired whole-file
+// trace format version used to be, so existing result keys stay valid.
+const traceKeyFormat = 3
+
 // TraceKey fingerprints everything that determines a generated trace:
-// workload identity, normalized generation parameters, the on-disk trace
-// format, and the generator implementation version.
+// workload identity, normalized generation parameters, and the generator
+// implementation version. It is the trace half of every ResultKey.
 func TraceKey(workload string, p workloads.Params) Fingerprint {
 	return fingerprint.Hash("vcache/trace", workload, p.Normalized(),
-		trace.FormatVersion, workloads.GeneratorVersion)
+		traceKeyFormat, workloads.GeneratorVersion)
 }
 
 // ChunkedTraceKey fingerprints a chunked (v4) trace stream. The chunk
@@ -220,43 +227,11 @@ func ResultKey(traceKey Fingerprint, cfg core.Config) Fingerprint {
 // ---------------------------------------------------------------------------
 // Typed entry points
 
-// GetTrace loads the trace cached under key, or nil on any miss.
-func (c *Cache) GetTrace(key Fingerprint) *trace.Trace {
-	if c == nil {
-		return nil
-	}
-	payload := c.get("trace", key)
-	if payload != nil {
-		tr, err := trace.Read(bytes.NewReader(payload))
-		if err == nil {
-			c.traceHits.Add(1)
-			return tr
-		}
-		c.corrupt.Add(1)
-	}
-	c.traceMisses.Add(1)
-	return nil
-}
-
-// PutTrace stores tr under key. Errors are counted, not returned: a failed
-// write only costs a future recomputation.
-func (c *Cache) PutTrace(key Fingerprint, tr *trace.Trace) {
-	if c == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		c.errors.Add(1)
-		return
-	}
-	c.put("trace", key, buf.Bytes())
-}
-
 // ChunkedTracePath returns the on-disk path of the chunked trace stream
 // cached under key, validating it first (header, footer, and chunk-frame
-// structure — an O(chunks) scan, no payload pass). Unlike GetTrace the
-// entry is not loaded into memory: callers open cursors straight off the
-// file, which is the whole point of the chunked format. A corrupt entry
+// structure — an O(chunks) scan, no payload pass). The entry is not
+// loaded into memory: callers open cursors straight off the file, which
+// is the whole point of the chunked format. A corrupt entry
 // counts as a miss; payload damage beyond the structural scan is still
 // caught by the cursor's per-chunk checksums at replay time.
 func (c *Cache) ChunkedTracePath(key Fingerprint) (string, bool) {

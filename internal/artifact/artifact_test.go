@@ -24,30 +24,6 @@ func testResults() core.Results {
 		IOMMUSamples: []float64{1, 2.5}}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := TraceKey("t", workloads.Params{})
-	if got := c.GetTrace(key); got != nil {
-		t.Fatal("hit on empty cache")
-	}
-	tr := testTrace()
-	c.PutTrace(key, tr)
-	got := c.GetTrace(key)
-	if got == nil {
-		t.Fatal("miss after put")
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatal("cache changed the trace")
-	}
-	s := c.Stats()
-	if s.TraceHits != 1 || s.TraceMisses != 1 || s.BytesWritten == 0 || s.BytesRead == 0 {
-		t.Fatalf("unexpected stats: %+v", s)
-	}
-}
-
 func TestResultsRoundTrip(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -147,10 +123,6 @@ func TestKeySensitivity(t *testing.T) {
 func TestNilCache(t *testing.T) {
 	var c *Cache
 	key := TraceKey("t", workloads.Params{})
-	if c.GetTrace(key) != nil {
-		t.Fatal("nil cache hit")
-	}
-	c.PutTrace(key, testTrace())
 	if _, ok := c.GetResults(key); ok {
 		t.Fatal("nil cache hit")
 	}
@@ -185,17 +157,17 @@ func TestSharedDirConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := TraceKey("t", workloads.Params{})
-	want := testTrace()
+	key := ResultKey(TraceKey("t", workloads.Params{}), core.DesignVCOpt())
+	want := testResults()
 
 	done := make(chan error, 2)
 	for _, c := range []*Cache{a, b} {
 		c := c
 		go func() {
 			for i := 0; i < 50; i++ {
-				c.PutTrace(key, want)
-				if got := c.GetTrace(key); got != nil && !reflect.DeepEqual(want, got) {
-					done <- errors.New("reader observed a different trace")
+				c.PutResults(key, want)
+				if got, ok := c.GetResults(key); ok && !reflect.DeepEqual(want, got) {
+					done <- errors.New("reader observed different results")
 					return
 				}
 			}

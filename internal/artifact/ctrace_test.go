@@ -1,9 +1,9 @@
 package artifact
 
 import (
-	"bytes"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 
 	"vcache/internal/trace"
@@ -39,14 +39,7 @@ func TestChunkedTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, have bytes.Buffer
-	if err := tr.Write(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := mat.Write(&have); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+	if !reflect.DeepEqual(tr, mat) {
 		t.Fatal("cached chunked stream does not materialize to the original trace")
 	}
 	st := c.Stats()

@@ -124,11 +124,11 @@ type Suite struct {
 	// "workload/design".
 	EventTrace *obs.TraceWriter
 	// Cache, when non-nil, backs the in-memory memoization with the on-disk
-	// artifact cache: traces and results found there are loaded instead of
-	// computed, and everything computed is stored for the next process.
-	// Results are bypassed (computed live) when CaptureMetrics or
-	// EventTrace is set, since those need an actual simulation; traces are
-	// cached regardless.
+	// artifact cache: results (and, with StreamTraces, chunked trace
+	// streams) found there are loaded instead of computed, and everything
+	// computed is stored for the next process. Results are bypassed
+	// (computed live) when CaptureMetrics or EventTrace is set, since those
+	// need an actual simulation. Materialized traces are always generated.
 	Cache *artifact.Cache
 	// StreamTraces replays workloads from chunked (v4) streams instead of
 	// materialized traces: generation emits chunks as they are produced
@@ -234,8 +234,8 @@ func (s *Suite) workers() int {
 	return runtime.NumCPU()
 }
 
-// Trace builds (and caches) the named workload's trace. The name must
-// belong to the suite's workload set; anything else is an error.
+// Trace builds (and memoizes, in process) the named workload's trace. The
+// name must belong to the suite's workload set; anything else is an error.
 func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	g, ok := s.generator(name)
 	if !ok {
@@ -250,11 +250,7 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	c := &traceCall{done: make(chan struct{})}
 	s.traces[name] = c
 	s.mu.Unlock()
-	key := artifact.TraceKey(name, s.Params)
-	if c.tr = s.Cache.GetTrace(key); c.tr == nil {
-		c.tr = g.Build(s.Params)
-		s.Cache.PutTrace(key, c.tr)
-	}
+	c.tr = g.Build(s.Params)
 	close(c.done)
 	return c.tr, nil
 }

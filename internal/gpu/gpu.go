@@ -92,13 +92,13 @@ type Stats struct {
 
 // GPU executes a trace against a MemoryPath.
 //
-// By default every CU schedules on the engine the GPU was built with. In
-// a partitioned simulation (see Partition) each CU owns its own engine,
-// and the warp-global coordination state — the live-warp count, the
-// barrier rendezvous, run completion — lives with the coordinator on the
-// construction engine; CUs reach it only through the toCoord message
-// hook, and it releases barriers back through toCU, so no warp state is
-// ever touched across partitions.
+// The warp-global coordination state — the live-warp count, the barrier
+// rendezvous, run completion — lives with the coordinator on the
+// construction engine. CUs reach it only through the toCoord message hook,
+// and it releases barriers back through toCU, so no warp state is ever
+// touched across partitions. New installs synchronous hooks with every CU
+// on the construction engine; Partition gives each CU its own engine and
+// replaces the hooks with cross-partition messages.
 type GPU struct {
 	eng     *sim.Engine
 	cfg     Config
@@ -106,9 +106,9 @@ type GPU struct {
 	batched BatchedPath // non-nil once EnableBatchedIssue ran
 	cus     []*cu
 
-	// Partitioned-mode hooks (nil = direct synchronous calls). toCoord
-	// carries the sending CU so the partition runner can stamp the
-	// message with the source engine's clock.
+	// CU <-> coordinator message hooks. toCoord carries the sending CU so
+	// the partition runner can stamp the message with the source engine's
+	// clock.
 	toCoord func(cu int, fn func())
 	toCU    func(cu int, fn func())
 
@@ -157,12 +157,15 @@ func New(eng *sim.Engine, cfg Config, path MemoryPath) *GPU {
 	if cfg.NumCUs <= 0 || cfg.Lanes <= 0 {
 		panic("gpu: invalid config")
 	}
-	g := &GPU{eng: eng, cfg: cfg, path: path}
+	g := &GPU{eng: eng, cfg: cfg, path: path, toCoord: direct, toCU: direct}
 	for i := 0; i < cfg.NumCUs; i++ {
 		g.cus = append(g.cus, &cu{id: i, eng: eng, port: sim.NewBandwidthServer(eng, cfg.IssuePerCycle)})
 	}
 	return g
 }
+
+// direct is the unpartitioned message hook: deliver at once.
+func direct(_ int, fn func()) { fn() }
 
 // EnableBatchedIssue switches memory instructions from per-line issue
 // events to one warp-level AccessLines call per instruction. The path the
@@ -337,11 +340,7 @@ func (w *warp) step() {
 	case trace.Barrier:
 		c.st.Barriers++
 		w.waiting = true
-		if g.toCoord != nil {
-			g.toCoord(c.id, g.barrierArrive)
-		} else {
-			g.barrierArrive()
-		}
+		g.toCoord(c.id, g.barrierArrive)
 	default:
 		panic(fmt.Sprintf("gpu: unknown instruction kind %v", in.Kind))
 	}
@@ -378,11 +377,7 @@ func (w *warp) finish() {
 		return
 	}
 	w.done = true
-	if w.g.toCoord != nil {
-		w.g.toCoord(w.cu.id, w.g.finishOne)
-		return
-	}
-	w.g.finishOne()
+	w.g.toCoord(w.cu.id, w.g.finishOne)
 }
 
 // finishOne runs at the coordinator: a warp retired its last instruction.
@@ -398,19 +393,14 @@ func (g *GPU) finishOne() {
 
 // checkBarrier releases all waiting warps once every live warp waits. The
 // coordinator only counts arrivals; the per-warp waiting flags are CU
-// state, so in partitioned mode the release is broadcast and each CU
-// wakes its own warps.
+// state, so the release is broadcast and each CU wakes its own warps.
 func (g *GPU) checkBarrier() {
 	if g.atBarrier == 0 || g.atBarrier < g.liveWarps {
 		return
 	}
 	g.atBarrier = 0
 	for _, c := range g.cus {
-		if g.toCU != nil {
-			g.toCU(c.id, c.release)
-		} else {
-			c.release()
-		}
+		g.toCU(c.id, c.release)
 	}
 }
 

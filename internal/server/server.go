@@ -50,9 +50,8 @@ type Options struct {
 	// (HTTP 429). Default 64.
 	QueueCap int
 	// Cache, when non-nil, is the shared artifact cache: result hits
-	// complete without simulating, and every computed trace and result is
-	// stored for later jobs (and for vcsim/vcfigs runs against the same
-	// directory).
+	// complete without simulating, and every computed result is stored for
+	// later jobs (and for vcsim/vcfigs runs against the same directory).
 	Cache *artifact.Cache
 	// Intra is the per-run partitioned-engine worker count
 	// (core.WithIntraParallelism); values < 1 mean 1. Results are
@@ -96,10 +95,9 @@ type runner interface {
 	run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
 }
 
-// simRunner is the real thing: trace via the artifact cache (generated on
-// miss), then a canonical-schedule RunContext.
+// simRunner is the real thing: a freshly generated trace, then a
+// RunContext.
 type simRunner struct {
-	cache *artifact.Cache
 	intra int
 }
 
@@ -111,12 +109,7 @@ func (r simRunner) run(ctx context.Context, workload string, p workloads.Params,
 	if err := ctx.Err(); err != nil {
 		return core.Results{}, nil, err
 	}
-	tKey := artifact.TraceKey(workload, p)
-	tr := r.cache.GetTrace(tKey)
-	if tr == nil {
-		tr = g.Build(p)
-		r.cache.PutTrace(tKey, tr)
-	}
+	tr := g.Build(p)
 	sys, err := core.New(cfg)
 	if err != nil {
 		return core.Results{}, nil, err
@@ -257,7 +250,7 @@ func New(opts Options) *Server {
 		queueCap:   opts.QueueCap,
 		retainDone: opts.RetainDone,
 		cache:      opts.Cache,
-		runner:     simRunner{cache: opts.Cache, intra: opts.Intra},
+		runner:     simRunner{intra: opts.Intra},
 		progress:   opts.Progress,
 		start:      time.Now(),
 		jobs:       make(map[string]*job),

@@ -15,8 +15,8 @@ import (
 	"vcache/internal/memory"
 )
 
-// File format v4: a chunked streaming encoding of the same trace model as
-// v3, replayable in bounded memory.
+// File format v4, the only trace file format: a chunked, checksummed
+// streaming encoding of the Trace model, replayable in bounded memory.
 //
 //	header    magic [8]byte "VCTRACE" + 4
 //	          flags uvarint (bit 0: chunk payloads are flate-compressed)
@@ -29,7 +29,8 @@ import (
 //	          payload (possibly compressed); decoded payload:
 //	            numSegments uvarint
 //	            per segment: cu uvarint, warp uvarint, numInsts uvarint,
-//	                         numInsts fixed 15-byte records (as v3)
+//	                         numInsts fixed 15-byte records
+//	                         (kind u8, lanes u16le, off u32le, cycles u64le)
 //	            arenaLen uvarint, 8-byte little-endian VAddrs
 //	          crc64 (8 bytes) over the stored payload bytes
 //	footer    marker byte 0xF4, then (all crc'd):
@@ -55,11 +56,29 @@ import (
 // seekable input. Everything header-declared is capped before allocation
 // and every payload is checksummed, so a corrupt or truncated file fails
 // decoding cleanly instead of misdecoding (see FuzzChunkRoundTrip).
+// Versions 1-3 (whole-file encodings) are rejected; regenerate old files
+// with cmd/tracegen -o.
 const ChunkFormatVersion = 4
 
 var (
 	chunkFileMagic    = [8]byte{'V', 'C', 'T', 'R', 'A', 'C', 'E', ChunkFormatVersion}
 	chunkTrailerMagic = [8]byte{'V', 'C', 'T', 'R', 'A', 'I', 'L', ChunkFormatVersion}
+
+	crcTable = crc64.MakeTable(crc64.ECMA)
+)
+
+// Decoder caps. Counts beyond these are rejected outright; counts under
+// them still only allocate as fast as real data arrives.
+const (
+	maxNameLen      = 1 << 16
+	maxCUs          = 1 << 16
+	maxWarpsPerCU   = 1 << 16
+	maxTotalWarps   = 1 << 22
+	maxInstsPerWarp = 1 << 30
+	maxLanes        = 1 << 12
+	maxArenaLen     = 1 << 32
+
+	instBytes = 15 // one encoded instruction record
 )
 
 const (
@@ -541,6 +560,12 @@ func (cw *ChunkWriter) Close() error {
 		return cw.sticky(err)
 	}
 	return nil
+}
+
+func writeUvarint(w io.Writer, x uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], x)
+	w.Write(buf[:n])
 }
 
 func (cw *ChunkWriter) sticky(err error) error {

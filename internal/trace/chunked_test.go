@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vcache/internal/memory"
@@ -198,7 +199,7 @@ func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 	// The same generator body run through a streaming builder must
 	// reproduce the materialized trace exactly, including arena order
 	// (generation order == emission order), so Materialize round-trips to
-	// identical v3 bytes.
+	// an identical trace.
 	mat := NewBuilder("chunktest", 7, 4, 3)
 	emitTestTrace(mat, 5, 40)
 	want := mat.Build()
@@ -223,15 +224,8 @@ func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
-	var wantBytes, gotBytes bytes.Buffer
-	if err := want.Write(&wantBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Write(&gotBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantBytes.Bytes(), gotBytes.Bytes()) {
-		t.Fatal("streamed trace materializes to different v3 bytes than direct generation")
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("streamed trace materializes to a different trace than direct generation")
 	}
 	if s := cw.Summary(); !reflect.DeepEqual(s, want.Summarize()) {
 		t.Fatalf("writer summary\n got %+v\nwant %+v", s, want.Summarize())
@@ -239,20 +233,14 @@ func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 }
 
 func TestChunkedVersionMismatchErrors(t *testing.T) {
-	tr := buildTestTrace(t, 2, 2, 2, 8)
-	var v4 bytes.Buffer
-	if err := tr.WriteChunked(&v4, ChunkOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(v4.Bytes())); err == nil {
-		t.Fatal("v3 reader accepted a v4 chunked stream")
-	}
-	var v3 bytes.Buffer
-	if err := tr.Write(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCursor(bytes.NewReader(v3.Bytes())); err == nil {
+	// A file from the retired whole-file format: right magic, version 3.
+	old := append([]byte("VCTRACE\x03"), make([]byte, 32)...)
+	_, err := NewCursor(bytes.NewReader(old))
+	if err == nil {
 		t.Fatal("cursor accepted a v3 whole-file trace")
+	}
+	if !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "tracegen -o") {
+		t.Fatalf("v3 rejection does not name the version and the fix: %v", err)
 	}
 }
 
@@ -266,7 +254,7 @@ func TestChunkedCorruptionDetected(t *testing.T) {
 
 	// Truncation at any prefix must fail at open or during streaming.
 	for _, n := range []int{0, 7, 8, len(orig) / 3, len(orig) / 2, len(orig) - 1} {
-		if streamOK(t, orig[:n]) {
+		if _, err := readAll(orig[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
@@ -280,25 +268,10 @@ func TestChunkedCorruptionDetected(t *testing.T) {
 		if bytes.Equal(mut, orig) {
 			continue
 		}
-		if streamOK(t, mut) {
+		if _, err := readAll(mut); err == nil {
 			t.Fatalf("bit flip at offset %d decoded without error", pos)
 		}
 	}
-}
-
-// streamOK reports whether data opens and fully streams as a valid
-// chunked trace with no error.
-func streamOK(t *testing.T, data []byte) bool {
-	t.Helper()
-	c, err := NewCursor(bytes.NewReader(data))
-	if err != nil {
-		return false
-	}
-	defer c.Close()
-	if _, err := c.Materialize(); err != nil {
-		return false
-	}
-	return c.Err() == nil
 }
 
 func TestChunkedEmptyishTrace(t *testing.T) {
@@ -313,32 +286,6 @@ func TestChunkedEmptyishTrace(t *testing.T) {
 	}
 	if s := c.Summary(); s.ComputeInsts != 1 || s.MemInsts != 0 {
 		t.Fatalf("tiny summary %+v", s)
-	}
-}
-
-func TestIsChunkedFile(t *testing.T) {
-	tr := buildTestTrace(t, 2, 2, 2, 6)
-	dir := t.TempDir()
-	v3 := dir + "/v3.trace"
-	v4 := dir + "/v4.trace"
-	if err := tr.Save(v3); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SaveChunked(v4, ChunkOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := IsChunkedFile(v3); err != nil || got {
-		t.Fatalf("IsChunkedFile(v3) = %v, %v", got, err)
-	}
-	if got, err := IsChunkedFile(v4); err != nil || !got {
-		t.Fatalf("IsChunkedFile(v4) = %v, %v", got, err)
-	}
-	c, err := OpenCursorFile(v4)
-	if err != nil {
-		t.Fatalf("OpenCursorFile: %v", err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -386,17 +333,23 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-materializing failed: %v", err)
 		}
-		var b1, b2 bytes.Buffer
-		if err := tr.Write(&b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr2.Write(&b2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		if !bytes.Equal(canonicalBytes(t, tr), canonicalBytes(t, tr2)) {
 			t.Fatal("chunked round trip is not stable")
 		}
 	})
+}
+
+// canonicalBytes is tr's single-chunk v4 encoding. The chunk writer
+// re-interns lane addresses, so two traces with the same instruction
+// streams and lane addresses encode identically even when their arenas
+// are laid out differently.
+func canonicalBytes(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChunked(&buf, ChunkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func buildFuzzSeed(numCUs, warpsPerCU, phases, perPhase int) *Trace {

@@ -85,6 +85,31 @@ func (t *Trace) Addrs(in Inst) []memory.VAddr {
 	return t.Arena[in.Off : uint64(in.Off)+uint64(in.Lanes)]
 }
 
+// Validate checks the trace's structural invariants: every Load/Store's
+// lane-arena reference must lie inside the arena. WriteChunked refuses an
+// invalid trace, and Cursor.Materialize checks every trace it decodes, so
+// a corrupt file can never provoke an out-of-bounds access during replay.
+func (t *Trace) Validate() error {
+	arena := uint64(len(t.Arena))
+	for c := range t.CUs {
+		for w, warp := range t.CUs[c].Warps {
+			for i, in := range warp {
+				if in.Kind != Load && in.Kind != Store {
+					continue
+				}
+				if in.Lanes == 0 {
+					return fmt.Errorf("trace: cu %d warp %d inst %d: %v with zero lanes", c, w, i, in.Kind)
+				}
+				if uint64(in.Off)+uint64(in.Lanes) > arena {
+					return fmt.Errorf("trace: cu %d warp %d inst %d: lane reference [%d, %d) outside arena of %d",
+						c, w, i, in.Off, uint64(in.Off)+uint64(in.Lanes), arena)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Summary describes a trace's memory behaviour.
 type Summary struct {
 	Name           string

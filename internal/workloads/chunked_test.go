@@ -2,24 +2,15 @@ package workloads
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"vcache/internal/trace"
 )
 
-// traceBytes serializes tr in the v3 format for byte-level comparison.
-func traceBytes(t *testing.T, tr *trace.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // TestBuildChunkedMatchesBuild streams every generator through the v4
-// chunk writer, materializes the cursor, and demands v3-byte identity
-// with the directly built trace — the invariant the streaming front end
+// chunk writer, materializes the cursor, and demands it equal the
+// directly built trace — the invariant the streaming front end
 // relies on for byte-identical simulation results.
 func TestBuildChunkedMatchesBuild(t *testing.T) {
 	p := smallParams()
@@ -28,7 +19,6 @@ func TestBuildChunkedMatchesBuild(t *testing.T) {
 		t.Run(g.Name, func(t *testing.T) {
 			t.Parallel()
 			want := g.Build(p)
-			wantBytes := traceBytes(t, want)
 
 			var buf bytes.Buffer
 			// Small budget so every workload exercises multi-chunk streaming.
@@ -49,7 +39,7 @@ func TestBuildChunkedMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Materialize: %v", err)
 			}
-			if !bytes.Equal(traceBytes(t, got), wantBytes) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: materialized streamed trace differs from direct build", g.Name)
 			}
 		})

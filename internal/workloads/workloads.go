@@ -22,9 +22,9 @@ import (
 
 // GeneratorVersion identifies the behavioural version of the trace
 // generators. Bump it whenever a generator change makes any workload emit a
-// different trace for identical Params — it is part of every cached trace's
-// key (internal/artifact), so stale traces stop matching instead of being
-// replayed silently.
+// different trace for identical Params — it is part of every trace and
+// result key (internal/artifact), so stale cache entries stop matching
+// instead of being replayed silently.
 const GeneratorVersion = 1
 
 // Params controls trace generation. The json tags are the api/v1 wire

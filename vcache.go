@@ -144,8 +144,8 @@ type (
 	RunEvent = experiments.RunEvent
 	// ProgressFunc receives one RunEvent per completed suite simulation.
 	ProgressFunc = experiments.ProgressFunc
-	// ArtifactCache is the content-addressed on-disk cache for generated
-	// traces and simulation results; assign one to ExperimentSuite.Cache to
+	// ArtifactCache is the content-addressed on-disk cache for simulation
+	// results and chunked trace streams; assign one to ExperimentSuite.Cache to
 	// make suite runs incremental across processes.
 	ArtifactCache = artifact.Cache
 )
@@ -201,8 +201,17 @@ func NewTraceBuilderASID(name string, asid ASID, numCUs, warpsPerCU int) *TraceB
 	return trace.NewBuilder(name, asid, numCUs, warpsPerCU)
 }
 
-// LoadTrace reads a trace saved by Trace.Save (or cmd/tracegen -o).
-func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
+// LoadTrace reads a whole trace file (v4, as written by Trace.SaveChunked
+// or cmd/tracegen -o) into memory. Long traces replay in bounded memory
+// through a streaming cursor instead (cmd/vcsim -tracefile).
+func LoadTrace(path string) (*Trace, error) {
+	c, err := trace.OpenCursorFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Materialize()
+}
 
 // RunContext options. Each attaches an observer to the run; none perturbs
 // the simulated timing.

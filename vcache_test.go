@@ -1,9 +1,12 @@
 package vcache_test
 
 import (
+	"bytes"
 	"testing"
 
 	"vcache"
+	"vcache/internal/core"
+	"vcache/internal/trace"
 )
 
 // The public API is exercised from an external test package, the way a
@@ -164,15 +167,18 @@ func TestPublicSynonymMapping(t *testing.T) {
 }
 
 func TestPublicTraceSaveLoad(t *testing.T) {
-	b := vcache.NewTraceBuilder("io", 2, 1)
-	b.Warp().Load(0x1000)
-	tr := b.Build()
-	path := t.TempDir() + "/t.trace"
-	if err := tr.Save(path); err != nil {
+	tr := vcache.BuildWorkload("nw", vcache.Params{NumCUs: 4, WarpsPerCU: 2})
+	path := t.TempDir() + "/t.ctrace"
+	if err := tr.SaveChunked(path, trace.ChunkOptions{Budget: 1 << 12}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := vcache.LoadTrace(path)
-	if err != nil || got.Name != "io" {
+	if err != nil || got.Name != "nw" {
 		t.Fatalf("LoadTrace: %v %v", got, err)
+	}
+	// The loaded trace must simulate to the original's exact bytes.
+	want := core.EncodeResults(vcache.Run(vcache.DesignVCOpt(), tr))
+	if have := core.EncodeResults(vcache.Run(vcache.DesignVCOpt(), got)); !bytes.Equal(have, want) {
+		t.Fatal("loaded trace simulates to different results than the original")
 	}
 }

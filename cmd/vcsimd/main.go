@@ -66,7 +66,17 @@ func main() {
 	}
 
 	engine := server.New(opts)
-	httpSrv := &http.Server{Addr: *addr, Handler: engine.Handler()}
+	// Bound how long a peer may take to send request headers and how long
+	// an idle keep-alive connection may stay open, so slow or idle clients
+	// cannot pin connections forever. There is deliberately no
+	// ReadTimeout/WriteTimeout: SSE event streams and ?wait=1 submissions
+	// legitimately hold a response open for a whole simulation.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           engine.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

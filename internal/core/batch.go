@@ -17,9 +17,11 @@ import (
 //
 // All batch state is per-CU: frames and their scratch buffers live in the
 // owning CU's pool, are touched only by that CU partition's events (the
-// backend reads a frame's miss list inside TranslateBulk, strictly before
-// the responses that let the CU recycle the frame), and recycle through the
-// pool so steady-state batching allocates nothing. The schedule is
+// backend reads a frame's miss list inside TranslateBulk and writes each
+// page's result slot, strictly before the response that lets the CU read
+// it, and the frame stays live until its last response), and recycle
+// through the pool so steady-state batching allocates nothing. A frame is
+// its own event handler, like a per-line request record. The schedule is
 // deterministic but deliberately different from the legacy per-line path —
 // per-line TLB lookups and IOMMU arrivals land on different cycles — so the
 // mode is opt-in and owned by SimVersion; see DESIGN.md.
@@ -59,15 +61,52 @@ type lineChunk struct {
 
 // batchFrame carries one warp memory instruction through the batched
 // front end. lines is a copy of the warp's coalescing buffer (the warp may
-// overwrite it next cycle); chunks and miss are reusable scratch. live
-// counts unresolved chunks; the frame returns to its CU pool at zero.
+// overwrite it next cycle); chunks, miss and res are reusable scratch.
+// live counts unresolved chunks; the frame returns to its CU pool at zero.
 type batchFrame struct {
+	s      *System
+	cu     int
 	live   int
 	write  bool
 	done   func() // per-line completion, fired once per line
 	lines  []memory.VAddr
 	chunks []lineChunk
-	miss   []memory.VPN // pages submitted to the IOMMU by this frame
+	miss   []memory.VPN   // pages submitted to the IOMMU by this frame
+	res    []iommu.Result // their results, riding back to the CU
+}
+
+// batchFrame stages (event arguments).
+const (
+	frTranslate   = iota // TranslateLines, Lat.PerCUTLB after issue (CU)
+	frL1Only             // batched L1-only-virtual first stage (CU)
+	frTLB2               // private second-level TLB (CU)
+	frSubmit             // bulk miss submission arrived at the IOMMU (backend)
+	frMissReturn0        // + i: result for miss[i] back at the CU
+)
+
+// Handle advances f through its next stage (sim.Handler).
+func (f *batchFrame) Handle(stage uint64) {
+	s := f.s
+	switch stage {
+	case frTranslate:
+		s.TranslateLines(f.cu, f)
+	case frL1Only:
+		s.batchL1Only(f.cu, f)
+	case frTLB2:
+		s.batchTLB2(f.cu, f)
+	case frSubmit:
+		s.io.TranslateBulk(s.asid, f.miss, f)
+	default:
+		i := stage - frMissReturn0
+		s.tlbReturn(f.cu, f.miss[i], f.res[i])
+	}
+}
+
+// Translated records the result for miss[i] and sends it back to the CU
+// (iommu.Receiver). Runs on the backend.
+func (f *batchFrame) Translated(i uint64, r iommu.Result) {
+	f.res[i] = r
+	f.s.sendToCU(f.cu, noc.CUToIOMMU, f, frMissReturn0+i)
 }
 
 // chunk groups the frame's lines into page chunks, in first-appearance
@@ -124,7 +163,7 @@ func (s *System) acquireFrame(cu int, lines []memory.VAddr, write bool, done fun
 		f = p.free[n-1]
 		p.free = p.free[:n-1]
 	} else {
-		f = &batchFrame{}
+		f = &batchFrame{s: s, cu: cu}
 		p.made++
 	}
 	f.write, f.done = write, done
@@ -159,9 +198,9 @@ func (s *System) AccessLines(cu int, lines []memory.VAddr, write bool, done func
 	f := s.acquireFrame(cu, lines, write, done)
 	switch s.cfg.Kind {
 	case PhysicalBaseline:
-		s.cuEng(cu).Schedule(s.cfg.Lat.PerCUTLB, func() { s.TranslateLines(cu, f) })
+		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, f, frTranslate)
 	case L1OnlyVirtual:
-		s.cuEng(cu).Schedule(s.cfg.Lat.L1Hit, func() { s.batchL1Only(cu, f) })
+		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.L1Hit, f, frL1Only)
 	default:
 		panic("core: batched access on non-batched design")
 	}
@@ -188,7 +227,7 @@ func (s *System) TranslateLines(cu int, f *batchFrame) {
 		return
 	}
 	if len(s.cuTLB2s) > 0 {
-		s.cuEng(cu).Schedule(s.cfg.PerCUTLB2Latency, func() { s.batchTLB2(cu, f) })
+		s.cuEng(cu).ScheduleEvent(s.cfg.PerCUTLB2Latency, f, frTLB2)
 		return
 	}
 	s.submitMisses(cu, f)
@@ -244,12 +283,13 @@ func (s *System) batchTLB2(cu int, f *batchFrame) {
 }
 
 // submitMisses merges each unresolved chunk with any outstanding same-page
-// request (chunk-granular TLB-miss MSHRs, same tlbPending map as the legacy
-// path) and bulk-submits the pages this frame is first requester for: one
-// CU→IOMMU message carries the whole deduplicated miss set, and the IOMMU
-// shares one walk per distinct page across everything in flight.
+// request (chunk-granular TLB-miss MSHRs, the same tlbPending table as the
+// per-line path) and bulk-submits the pages this frame is first requester
+// for: one CU→IOMMU message carries the whole deduplicated miss set, and
+// the IOMMU shares one walk per distinct page across everything in flight.
+// Each page's result returns to the CU as its own message, which lands in
+// tlbReturn.
 func (s *System) submitMisses(cu int, f *batchFrame) {
-	st := &s.cuStats[cu]
 	for ci := range f.chunks {
 		c := &f.chunks[ci]
 		if c.hit {
@@ -262,73 +302,15 @@ func (s *System) submitMisses(cu int, f *batchFrame) {
 				}
 			}
 		}
-		ci := ci
-		k := func(pte memory.PTE, fault bool) {
-			ch := &f.chunks[ci]
-			ch.pte, ch.fault = pte, fault
-			s.resolveChunk(cu, f, ci)
-		}
-		list, outstanding := s.tlbPending[cu][c.vpn]
-		if outstanding {
-			st.tlbMerges++
-		} else {
+		if s.parkTLBMiss(cu, c.vpn, tlbWait{f: f, ci: ci}) {
 			f.miss = append(f.miss, c.vpn)
 		}
-		if list == nil {
-			if n := len(st.waitPool); n > 0 {
-				list = st.waitPool[n-1]
-				st.waitPool = st.waitPool[:n-1]
-			} else {
-				list = make([]func(memory.PTE, bool), 0, 8)
-			}
-		}
-		s.tlbPending[cu][c.vpn] = append(list, k)
 	}
 	if len(f.miss) == 0 {
 		return
 	}
-	s.sendToBackend(cu, noc.CUToIOMMU, func() {
-		s.io.TranslateBulk(s.asid, f.miss, func(i int, r iommu.Result) {
-			// f.miss is only read here, on the backend, strictly before
-			// the response message that lets the CU retire (and recycle)
-			// the frame — the mailbox ordering makes that safe.
-			vpn := f.miss[i]
-			s.sendToCU(cu, noc.CUToIOMMU, func() { s.batchMissReturn(cu, vpn, r) })
-		})
-	})
-}
-
-// batchMissReturn lands one page's bulk-translation result back at the CU:
-// install the translation in the per-CU TLB(s), then resolve every chunk
-// waiting on the page (the submitting chunk plus any that merged behind
-// it). The drained waiter list recycles through the CU's pool.
-func (s *System) batchMissReturn(cu int, vpn memory.VPN, r iommu.Result) {
-	if !r.Fault {
-		if r.PTE.Large {
-			bv, bp := memory.LargeBase(vpn, r.PTE.PPN)
-			s.cuTLBs[cu].InsertLarge(s.asid, bv, bp, r.PTE.Perm)
-			if len(s.cuTLB2s) > 0 {
-				s.cuTLB2s[cu].InsertLarge(s.asid, bv, bp, r.PTE.Perm)
-			}
-		} else {
-			s.cuTLBs[cu].Insert(s.asid, vpn, r.PTE.PPN, r.PTE.Perm)
-			if len(s.cuTLB2s) > 0 {
-				s.cuTLB2s[cu].Insert(s.asid, vpn, r.PTE.PPN, r.PTE.Perm)
-			}
-		}
-	}
-	waiters := s.tlbPending[cu][vpn]
-	delete(s.tlbPending[cu], vpn)
-	for _, w := range waiters {
-		w(r.PTE, r.Fault)
-	}
-	if waiters != nil {
-		for i := range waiters {
-			waiters[i] = nil
-		}
-		st := &s.cuStats[cu]
-		st.waitPool = append(st.waitPool, waiters[:0])
-	}
+	f.res = append(f.res[:0], make([]iommu.Result, len(f.miss))...)
+	s.sendToBackend(cu, noc.CUToIOMMU, f, frSubmit)
 }
 
 // resolveChunk completes one translated chunk: fault handling (counted per
@@ -349,21 +331,13 @@ func (s *System) resolveChunk(cu int, f *batchFrame, ci int) {
 			s.fault("perm", &st.faults.PermFaults)
 			f.done()
 		}
-	case s.cfg.Kind == PhysicalBaseline:
-		base := c.pte.PPN.Base()
+	default:
+		// Each line proceeds to the cache path on its own request record:
+		// the physical L1 (baseline) or the physical L2 (L1-only virtual).
 		for _, la := range f.lines {
-			if la.Page() != c.vpn {
-				continue
+			if la.Page() == c.vpn {
+				s.translated(s.acquire(cu, la, f.write, f.done), c.pte)
 			}
-			pa := base + memory.PAddr(la.Offset())
-			s.physCacheAccess(cu, pa.Line(), f.write, f.done)
-		}
-	default: // L1OnlyVirtual: lines proceed to the physical L2
-		for _, la := range f.lines {
-			if la.Page() != c.vpn {
-				continue
-			}
-			s.l1onlyBackend(cu, la, f.write, c.pte, f.done)
 		}
 	}
 	s.releaseChunk(cu, f)
@@ -401,5 +375,5 @@ func (s *System) batchL1Only(cu int, f *batchFrame) {
 		s.releaseFrame(cu, f)
 		return
 	}
-	s.cuEng(cu).Schedule(s.cfg.Lat.PerCUTLB, func() { s.TranslateLines(cu, f) })
+	s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, f, frTranslate)
 }

@@ -91,25 +91,25 @@ func (s *System) IntraInfo() (info IntraInfo, ok bool) {
 // cuEng returns the engine that owns cu's front-end events.
 func (s *System) cuEng(cu int) *sim.Engine { return s.intra.engines[cu+1] }
 
-// sendToBackend delivers fn on the backend partition after the route's
-// latency. Must be called from the CU's own partition.
-func (s *System) sendToBackend(cu int, r noc.Route, fn func()) {
+// sendToBackend delivers h.Handle(arg) on the backend partition after the
+// route's latency. Must be called from the CU's own partition.
+func (s *System) sendToBackend(cu int, r noc.Route, h sim.Handler, arg uint64) {
 	st := &s.intra
 	st.routeMsgs[cu+1][routeIdx(r)]++
-	st.part.Send(cu+1, 0, s.net.Latency(r), fn)
+	st.part.SendEvent(cu+1, 0, s.net.Latency(r), h, arg)
 }
 
-// sendToCU delivers fn on cu's partition after the route's latency. Must
-// be called from the backend partition. Between runs every partition is
-// idle, so fn applies at once.
-func (s *System) sendToCU(cu int, r noc.Route, fn func()) {
+// sendToCU delivers h.Handle(arg) on cu's partition after the route's
+// latency. Must be called from the backend partition. Between runs every
+// partition is idle, so the handler runs at once.
+func (s *System) sendToCU(cu int, r noc.Route, h sim.Handler, arg uint64) {
 	st := &s.intra
 	if !st.running {
-		fn()
+		h.Handle(arg)
 		return
 	}
 	st.routeMsgs[0][routeIdx(r)]++
-	st.part.Send(0, cu+1, s.net.Latency(r), fn)
+	st.part.SendEvent(0, cu+1, s.net.Latency(r), h, arg)
 }
 
 // flushRouteCounts folds the deferred per-partition NoC message counts
@@ -234,6 +234,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	var lastProgress uint64
 	var err error
 	onWindow := func(limit uint64) bool {
+		s.reclaim()
 		if e := ctx.Err(); e != nil {
 			err = e
 			return false
@@ -256,6 +257,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	s.intra.running = true
 	s.intra.part.Run(onWindow)
 	s.intra.running = false
+	s.reclaim()
 	s.flushRouteCounts()
 	if err != nil {
 		return Results{}, err

@@ -32,7 +32,7 @@ func (s *System) Shootdown(va memory.VAddr) {
 		// page in each of them.
 		for cu, l1 := range s.l1s {
 			if l1.InvalidatePage(s.vkey(va)) > 0 {
-				delete(s.filters[cu], vpn)
+				s.filters[cu].Delete(uint64(vpn))
 			}
 		}
 	}
@@ -74,7 +74,7 @@ func (s *System) FlushGPU() {
 	s.l2.InvalidateAll()
 	s.fbtInvalLines += uint64(lines)
 	for i := 0; i < 2*dirty; i++ {
-		s.mem.Access(true, func() {})
+		s.writeback()
 	}
 	for cu := range s.l1s {
 		s.flushL1(cu)
@@ -115,7 +115,7 @@ func (s *System) RetireASID(asid memory.ASID) RetireStats {
 	rs.L2Lines = s.l2.InvalidateASID(asid)
 	if !s.l2.Eager {
 		for i := 0; i < dirty; i++ {
-			s.mem.Access(true, func() {})
+			s.writeback()
 		}
 	}
 	virtual := s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual

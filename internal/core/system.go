@@ -8,6 +8,7 @@ import (
 	"vcache/internal/cache"
 	"vcache/internal/dram"
 	"vcache/internal/fbt"
+	"vcache/internal/flatmap"
 	"vcache/internal/gpu"
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
@@ -75,7 +76,8 @@ type System struct {
 	l1s     []*cache.Cache
 	cuTLBs  []*tlb.TLB
 	cuTLB2s []*tlb.TLB           // optional private second-level TLBs
-	filters []map[memory.VPN]int // per-CU L1 invalidation filters
+	filters []flatmap.Map[int32] // per-CU L1 invalidation filters: resident lines per VPN
+	invals  []cuInval            // per-CU FBT-eviction flush message handlers
 	remaps  []*remapTable        // per-CU dynamic synonym remap tables
 
 	asid memory.ASID
@@ -89,13 +91,20 @@ type System struct {
 	// pool) between partition workers; results sum the slots.
 	cuStats []cuCounters
 
-	// tlbPending merges concurrent same-page TLB misses per CU; l2Pending
-	// merges concurrent misses to the same line (MSHR behaviour). The
-	// pools recycle drained waiter lists so steady-state miss merging does
-	// not allocate.
-	tlbPending []map[memory.VPN][]func(memory.PTE, bool)
-	l2Pending  map[uint64][]lineWaiter
-	linePool   [][]lineWaiter
+	// reqs are the per-CU request record pools (paths.go); returned is set
+	// when a record parked on a return list since the last reclaim. fills
+	// recycles the backend's fill records.
+	reqs     []reqPool
+	returned bool
+	fills    []*fill
+
+	// tlbPending merges concurrent same-page TLB misses per CU, keyed by
+	// VPN; l2Pending merges concurrent misses to the same line, keyed by
+	// L2 key (MSHR behaviour). The pools recycle drained waiter lists so
+	// steady-state miss merging does not allocate.
+	tlbPending []flatmap.Map[[]tlbWait]
+	l2Pending  flatmap.Map[[]*request]
+	linePool   [][]*request
 	lineMerges uint64
 
 	// batch holds the per-CU frame pools of the batched translation
@@ -125,7 +134,7 @@ type cuCounters struct {
 	batch         BatchStats // batched translation front-end activity
 	tlbLife       stats.CDF  // per-CU TLB entry residence (TrackLifetimes)
 	l1Life        stats.CDF  // L1 line active lifetime (TrackLifetimes)
-	waitPool      [][]func(memory.PTE, bool)
+	waitPool      [][]tlbWait
 }
 
 // New assembles a system from cfg. An invalid configuration returns a
@@ -164,15 +173,19 @@ func New(cfg Config) (*System, error) {
 		s.l2banks = append(s.l2banks, sim.NewBandwidthServer(eng, cfg.L2BankPorts))
 	}
 
-	// Per-CU L1s, TLBs, invalidation filters, and TLB-miss MSHRs.
-	s.l2Pending = make(map[uint64][]lineWaiter)
-	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
-	for i := 0; i < cfg.GPU.NumCUs; i++ {
+	// Per-CU L1s, TLBs, invalidation filters, request pools, and TLB-miss
+	// MSHRs.
+	n := cfg.GPU.NumCUs
+	s.cuStats = make([]cuCounters, n)
+	s.reqs = make([]reqPool, n)
+	s.filters = make([]flatmap.Map[int32], n)
+	s.tlbPending = make([]flatmap.Map[[]tlbWait], n)
+	s.invals = make([]cuInval, n)
+	for i := 0; i < n; i++ {
+		s.invals[i] = cuInval{s: s, cu: i}
 		l1 := cache.New(cfg.L1)
 		l1.Clock = s.cuEng(i).Now
 		s.l1s = append(s.l1s, l1)
-		s.filters = append(s.filters, make(map[memory.VPN]int))
-		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]func(memory.PTE, bool)))
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
@@ -425,7 +438,7 @@ func (s *System) contextSwitch(asid memory.ASID) {
 		if s.cfg.Kind == VirtualHierarchy {
 			for cu := range s.l1s {
 				s.l1s[cu].InvalidateAll()
-				s.filters[cu] = make(map[memory.VPN]int)
+				s.filters[cu].Reset()
 			}
 		}
 	}
@@ -588,11 +601,11 @@ func (s *System) emitSnapshot(o *options) {
 // onL1Evict maintains the invalidation filter counts and lifetime CDF.
 func (s *System) onL1Evict(cu int, l cache.Line) {
 	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
-		vpn := vunkey(l.Addr).Page()
-		if n := s.filters[cu][vpn]; n > 1 {
-			s.filters[cu][vpn] = n - 1
+		vpn := uint64(vunkey(l.Addr).Page())
+		if n := s.filters[cu].Ref(vpn); n != nil && *n > 1 {
+			*n--
 		} else {
-			delete(s.filters[cu], vpn)
+			s.filters[cu].Delete(vpn)
 		}
 	}
 	if s.lifetimes != nil {
@@ -604,7 +617,8 @@ func (s *System) onL1Evict(cu int, l cache.Line) {
 // trackL1Fill bumps the invalidation filter when a line enters an L1.
 func (s *System) trackL1Fill(cu int, va memory.VAddr) {
 	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
-		s.filters[cu][va.Page()]++
+		n := s.filters[cu].Upsert(uint64(va.Page()))
+		*n++
 	}
 }
 
@@ -614,17 +628,20 @@ func (s *System) onVirtualL2Evict(l cache.Line) {
 	va := vunkey(l.Addr)
 	s.fbt.ClearLine(l.ASID, va.Page(), va.LineIndex())
 	if l.Dirty {
-		s.mem.Access(true, func() {})
+		s.writeback()
 	}
 	if s.lifetimes != nil {
 		s.lifetimes.L2Data.Add(float64(l.ActiveLifetime()))
 	}
 }
 
+// writeback issues one dirty line's DRAM write; nothing waits on it.
+func (s *System) writeback() { s.mem.Access(true, func() {}) }
+
 // onPhysicalL2Evict writes back dirty lines.
 func (s *System) onPhysicalL2Evict(l cache.Line) {
 	if l.Dirty {
-		s.mem.Access(true, func() {})
+		s.writeback()
 	}
 	if s.lifetimes != nil {
 		s.lifetimes.L2Data.Add(float64(l.ActiveLifetime()))
@@ -645,21 +662,39 @@ func (s *System) onFBTEvict(v fbt.View) {
 		if dirty, was := s.l2.InvalidateLine(addr); was {
 			s.fbtInvalLines++
 			if dirty {
-				s.mem.Access(true, func() {})
+				s.writeback()
 			}
 		}
 	}
 	// Filters and L1s are front-end state, so during a run the flush
 	// decision and the flush itself travel to each CU as a
 	// cross-partition message over the GPU network.
-	for cu := range s.l1s {
-		cu := cu
-		s.sendToCU(cu, noc.CUToL2, func() {
-			if !s.cfg.InvFilter || s.filters[cu][v.LVPN] > 0 {
-				s.flushL1(cu)
-			}
-		})
+	for cu := range s.invals {
+		s.sendToCU(cu, noc.CUToL2, &s.invals[cu], uint64(v.LVPN))
 	}
+}
+
+// cuInval is one CU's FBT-eviction flush message handler: the argument is
+// the evicted page's leading VPN, which the CU checks against its
+// invalidation filter.
+type cuInval struct {
+	s  *System
+	cu int
+}
+
+// Handle flushes the CU's L1 when its filter matches the page (or
+// unconditionally without filters).
+func (c *cuInval) Handle(lvpn uint64) {
+	s := c.s
+	if !s.cfg.InvFilter || s.filterCount(c.cu, memory.VPN(lvpn)) > 0 {
+		s.flushL1(c.cu)
+	}
+}
+
+// filterCount returns cu's invalidation-filter count for vpn.
+func (s *System) filterCount(cu int, vpn memory.VPN) int {
+	n, _ := s.filters[cu].Get(uint64(vpn))
+	return int(n)
 }
 
 func (s *System) flushL1(cu int) {
@@ -668,7 +703,7 @@ func (s *System) flushL1(cu int) {
 	}
 	s.cuStats[cu].l1FullFlushes++
 	s.l1s[cu].InvalidateAll()
-	s.filters[cu] = make(map[memory.VPN]int)
+	s.filters[cu].Reset()
 }
 
 // fault records an exceptional event per the configured policy.

@@ -53,15 +53,22 @@ func (d *DRAM) Stats() Stats { return d.stats }
 func (d *DRAM) QueueDelay() uint64 { return d.server.QueueDelay }
 
 // Access performs one line transfer; done fires when the data is available
-// (reads) or accepted (writes).
+// (reads) or accepted (writes). It adapts AccessEvent.
 func (d *DRAM) Access(write bool, done func()) {
+	d.AccessEvent(write, sim.Func(done), 0)
+}
+
+// AccessEvent is Access without a closure: h.Handle(arg) fires when the
+// transfer completes, so a pooled request record can carry its own
+// continuation.
+func (d *DRAM) AccessEvent(write bool, h sim.Handler, arg uint64) {
 	if write {
 		d.stats.Writes++
 	} else {
 		d.stats.Reads++
 	}
 	start := d.server.Admit()
-	d.eng.At(start+d.cfg.Latency, done)
+	d.eng.AtEvent(start+d.cfg.Latency, h, arg)
 }
 
 // AccessAfter is Access with an additional fixed delay before the request

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"vcache/internal/fbt"
+	"vcache/internal/flatmap"
 	"vcache/internal/memory"
 	"vcache/internal/obs"
 	"vcache/internal/ptw"
@@ -77,6 +78,26 @@ type Result struct {
 	Fault bool
 }
 
+// Receiver takes completed translations. It is the handler form of
+// Translate's callback: tag comes back exactly as the requester passed it
+// (like sim.Handler's arg), so one pooled record can carry several
+// requests and tell them apart without a closure per request.
+type Receiver interface {
+	Translated(tag uint64, r Result)
+}
+
+// Func adapts a plain callback to Receiver.
+type Func func(Result)
+
+// Translated calls f.
+func (f Func) Translated(_ uint64, r Result) { f(r) }
+
+// waiter is a requester parked on an outstanding walk.
+type waiter struct {
+	rcv Receiver
+	tag uint64
+}
+
 // IOMMU is the shared translation unit.
 type IOMMU struct {
 	eng     *sim.Engine
@@ -98,17 +119,34 @@ type IOMMU struct {
 	Trace *obs.Emitter
 
 	// pending merges concurrent misses to the same page into one walk,
-	// like the walker's MSHRs: duplicates attach to the outstanding walk.
-	// Drained waiter lists recycle through waitPool so merging stays
+	// like the walker's MSHRs: duplicates attach to the outstanding walk,
+	// keyed by packed (asid, vpn). Drained waiter lists recycle through
+	// waitPool and lookup records through free, so translating stays
 	// allocation-free at steady state.
-	pending  map[pendKey][]func(Result)
-	waitPool [][]func(Result)
+	pending  flatmap.Map[[]waiter]
+	waitPool [][]waiter
+	free     []*lookup
 }
 
-type pendKey struct {
+// lookup is one in-flight translation request: a pooled record that
+// implements sim.Handler for its port and FBT latencies and ptw.Receiver
+// for its walk. The event argument names the stage.
+type lookup struct {
+	io   *IOMMU
 	asid memory.ASID
 	vpn  memory.VPN
+	rcv  Receiver
+	tag  uint64
+	ppn  memory.PPN  // FBT second-level hit
+	perm memory.Perm // FBT second-level hit
 }
+
+// lookup stages (event arguments).
+const (
+	stageDequeue = iota // granted the port: consult the shared TLB
+	stageFBTHit         // FBT latency elapsed after a second-level hit
+	stageWalk           // FBT latency elapsed after a second-level miss
+)
 
 // New builds an IOMMU. The walker must be constructed by the caller so it
 // can share the DRAM model with the rest of the system.
@@ -125,7 +163,6 @@ func New(eng *sim.Engine, cfg Config, walker *ptw.Walker) *IOMMU {
 		tlb:     tlb.New(cfg.TLB),
 		walker:  walker,
 		sampler: stats.NewIntervalSampler(cfg.SampleWindow),
-		pending: make(map[pendKey][]func(Result)),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		io.ports = append(io.ports, sim.NewBandwidthServer(eng, cfg.LookupsPerCycle))
@@ -169,51 +206,85 @@ func (io *IOMMU) bank(vpn memory.VPN) *sim.BandwidthServer {
 // Translate requests a translation of (asid, vpn); done fires with the
 // result after the request is serialized through the lookup port, the
 // shared TLB (and optionally the FBT) is consulted, and — on a miss — a
-// page-table walk completes.
+// page-table walk completes. It adapts TranslateTo.
 func (io *IOMMU) Translate(asid memory.ASID, vpn memory.VPN, done func(Result)) {
+	io.TranslateTo(asid, vpn, Func(done), 0)
+}
+
+// TranslateTo is Translate in handler form: rcv.Translated(tag, result)
+// fires when the translation completes.
+func (io *IOMMU) TranslateTo(asid memory.ASID, vpn memory.VPN, rcv Receiver, tag uint64) {
 	io.st.Requests++
 	io.sampler.Record(io.eng.Now())
 	io.Trace.Emit("enqueue", uint64(vpn))
 	slot := io.bank(vpn).Admit()
 	io.delays.Add(float64(slot - io.eng.Now()))
-	io.eng.At(slot+io.cfg.LookupLatency, func() {
-		io.Trace.Emit("dequeue", uint64(vpn))
-		if e, ok := io.tlb.Lookup(asid, vpn); ok {
+	var l *lookup
+	if n := len(io.free); n > 0 {
+		l = io.free[n-1]
+		io.free = io.free[:n-1]
+	} else {
+		l = &lookup{io: io}
+	}
+	l.asid, l.vpn, l.rcv, l.tag = asid, vpn, rcv, tag
+	io.eng.AtEvent(slot+io.cfg.LookupLatency, l, stageDequeue)
+}
+
+// finish recycles l and delivers r to its requester. The record is
+// released first: the requester may translate again from inside
+// Translated.
+func (io *IOMMU) finish(l *lookup, r Result) {
+	rcv, tag := l.rcv, l.tag
+	l.rcv = nil
+	io.free = append(io.free, l)
+	rcv.Translated(tag, r)
+}
+
+// Handle advances a lookup record through its stages (sim.Handler).
+func (l *lookup) Handle(stage uint64) {
+	io := l.io
+	switch stage {
+	case stageDequeue:
+		io.Trace.Emit("dequeue", uint64(l.vpn))
+		if e, ok := io.tlb.Lookup(l.asid, l.vpn); ok {
 			io.st.TLBHits++
-			done(Result{PTE: memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large}})
+			io.finish(l, Result{PTE: memory.PTE{PPN: e.Frame(l.vpn), Perm: e.Perm, Valid: true, Large: e.Large}})
 			return
 		}
 		io.st.TLBMisses++
 		if io.SecondLevel != nil {
-			if ppn, perm, ok := io.SecondLevel.TranslateVPN(asid, vpn); ok {
+			// The FBT lookup costs its latency whether or not it hits.
+			if ppn, perm, ok := io.SecondLevel.TranslateVPN(l.asid, l.vpn); ok {
 				io.st.FBTHits++
-				io.eng.Schedule(io.cfg.FBTLatency, func() {
-					io.tlb.Insert(asid, vpn, ppn, perm)
-					done(Result{PTE: memory.PTE{PPN: ppn, Perm: perm, Valid: true}})
-				})
+				l.ppn, l.perm = ppn, perm
+				io.eng.ScheduleEvent(io.cfg.FBTLatency, l, stageFBTHit)
 				return
 			}
-			// FBT miss costs its lookup latency before the walk begins.
-			io.eng.Schedule(io.cfg.FBTLatency, func() { io.walk(asid, vpn, done) })
+			io.eng.ScheduleEvent(io.cfg.FBTLatency, l, stageWalk)
 			return
 		}
-		io.walk(asid, vpn, done)
-	})
+		io.walk(l)
+	case stageFBTHit:
+		io.tlb.Insert(l.asid, l.vpn, l.ppn, l.perm)
+		io.finish(l, Result{PTE: memory.PTE{PPN: l.ppn, Perm: l.perm, Valid: true}})
+	case stageWalk:
+		io.walk(l)
+	}
 }
 
 // TranslateBulk enqueues one warp batch's residual miss set — vpns, already
 // deduplicated by the front end's page chunking — in a single call. Each
 // page still pays its own lookup-port slot (the bandwidth model is
 // unchanged; the batch arrives together but serializes through the shared
-// TLB), and concurrent same-page walks merge through the same pending-map
-// MSHRs as Translate, so one walk serves every requester of a page. done
-// fires once per index with that page's result.
-func (io *IOMMU) TranslateBulk(asid memory.ASID, vpns []memory.VPN, done func(i int, r Result)) {
+// TLB), and concurrent same-page walks merge through the same pending
+// MSHRs as Translate, so one walk serves every requester of a page.
+// rcv.Translated fires once per page, tagged with the page's index in
+// vpns.
+func (io *IOMMU) TranslateBulk(asid memory.ASID, vpns []memory.VPN, rcv Receiver) {
 	io.st.BulkCalls++
 	io.st.BulkMisses += uint64(len(vpns))
 	for i, vpn := range vpns {
-		i := i
-		io.Translate(asid, vpn, func(r Result) { done(i, r) })
+		io.TranslateTo(asid, vpn, rcv, uint64(i))
 	}
 }
 
@@ -228,46 +299,53 @@ func (io *IOMMU) insertTLB(asid memory.ASID, vpn memory.VPN, pte memory.PTE) {
 	io.tlb.Insert(asid, vpn, pte.PPN, pte.Perm)
 }
 
-func (io *IOMMU) walk(asid memory.ASID, vpn memory.VPN, done func(Result)) {
-	k := pendKey{asid, vpn}
-	if list, outstanding := io.pending[k]; outstanding {
+// walk starts a page-table walk for l's page, or parks l on the walk
+// already outstanding for it.
+func (io *IOMMU) walk(l *lookup) {
+	k := flatmap.Key(uint16(l.asid), uint64(l.vpn))
+	if list := io.pending.Ref(k); list != nil {
 		// A walk for this page is already in flight: attach to it.
 		io.st.MergedWalks++
-		if list == nil {
+		if *list == nil {
 			if n := len(io.waitPool); n > 0 {
-				list = io.waitPool[n-1]
+				*list = io.waitPool[n-1]
 				io.waitPool = io.waitPool[:n-1]
 			} else {
-				list = make([]func(Result), 0, 8)
+				*list = make([]waiter, 0, 8)
 			}
 		}
-		io.pending[k] = append(list, done)
+		*list = append(*list, waiter{l.rcv, l.tag})
+		l.rcv = nil
+		io.free = append(io.free, l)
 		return
 	}
-	io.pending[k] = nil
+	io.pending.Put(k, nil)
 	io.st.Walks++
-	io.walker.Walk(vpn, func(r ptw.Result) {
-		var res Result
-		if r.Fault {
-			io.st.Faults++
-			res = Result{Fault: true}
-		} else {
-			io.insertTLB(asid, vpn, r.PTE)
-			res = Result{PTE: r.PTE}
-		}
-		waiters := io.pending[k]
-		delete(io.pending, k)
-		done(res)
-		for _, w := range waiters {
-			w(res)
-		}
-		if waiters != nil {
-			for i := range waiters {
-				waiters[i] = nil
-			}
-			io.waitPool = append(io.waitPool, waiters[:0])
-		}
-	})
+	io.walker.WalkTo(l.vpn, l)
+}
+
+// Walked completes the walk l started (ptw.Receiver): install the
+// translation, then answer l's requester and every request that merged
+// behind it, in arrival order.
+func (l *lookup) Walked(r ptw.Result) {
+	io := l.io
+	var res Result
+	if r.Fault {
+		io.st.Faults++
+		res = Result{Fault: true}
+	} else {
+		io.insertTLB(l.asid, l.vpn, r.PTE)
+		res = Result{PTE: r.PTE}
+	}
+	waiters, _ := io.pending.Delete(flatmap.Key(uint16(l.asid), uint64(l.vpn)))
+	io.finish(l, res)
+	for _, w := range waiters {
+		w.rcv.Translated(w.tag, res)
+	}
+	if waiters != nil {
+		clear(waiters)
+		io.waitPool = append(io.waitPool, waiters[:0])
+	}
 }
 
 // Shootdown invalidates (asid, vpn) in the shared TLB.

@@ -12,18 +12,31 @@ import (
 	"vcache/internal/sim"
 )
 
-// Route names an endpoint pair.
-type Route string
+// Route names an endpoint pair. Routes index the network's link table
+// directly, so resolving a route on the send path is an array load.
+type Route uint8
 
 // Standard routes in the modeled SoC.
 const (
-	CUToL2     Route = "cu-l2"     // dance-hall GPU network
-	L2ToIOMMU  Route = "l2-iommu"  // virtual-cache miss path
-	CUToIOMMU  Route = "cu-iommu"  // baseline per-CU TLB miss path
-	IOMMUToMem Route = "iommu-mem" // page-table walker memory accesses
-	L2ToMem    Route = "l2-mem"    // cache fill path
-	CPUToGPU   Route = "cpu-gpu"   // coherence probes
+	CUToL2     Route = iota // dance-hall GPU network
+	L2ToIOMMU               // virtual-cache miss path
+	CUToIOMMU               // baseline per-CU TLB miss path
+	IOMMUToMem              // page-table walker memory accesses
+	L2ToMem                 // cache fill path
+	CPUToGPU                // coherence probes
+	numRoutes
 )
+
+// routeNames are the routes' metric names ("noc.cu-l2.messages").
+var routeNames = [numRoutes]string{"cu-l2", "l2-iommu", "cu-iommu", "iommu-mem", "l2-mem", "cpu-gpu"}
+
+// String returns the route's metric name.
+func (r Route) String() string {
+	if r < numRoutes {
+		return routeNames[r]
+	}
+	return fmt.Sprintf("route(%d)", uint8(r))
+}
 
 // Link is a one-way interconnect segment with a fixed traversal latency
 // and a bandwidth limit in messages per cycle (0 = unlimited).
@@ -38,12 +51,12 @@ type Link struct {
 // Network routes messages over configured links.
 type Network struct {
 	eng   *sim.Engine
-	links map[Route]*Link
+	links [numRoutes]*Link
 }
 
 // New creates an empty network.
 func New(eng *sim.Engine) *Network {
-	return &Network{eng: eng, links: make(map[Route]*Link)}
+	return &Network{eng: eng}
 }
 
 // AddLink installs a link for route with the given latency and bandwidth
@@ -55,28 +68,40 @@ func (n *Network) AddLink(r Route, latency uint64, perCycle int) *Link {
 }
 
 // Link returns the link for r, or nil.
-func (n *Network) Link(r Route) *Link { return n.links[r] }
+func (n *Network) Link(r Route) *Link {
+	if r < numRoutes {
+		return n.links[r]
+	}
+	return nil
+}
 
 // Latency returns the configured latency of r (0 for unknown routes, so an
 // unconfigured network degrades to zero-latency, useful in unit tests).
 func (n *Network) Latency(r Route) uint64 {
-	if l := n.links[r]; l != nil {
+	if l := n.Link(r); l != nil {
 		return l.Latency
 	}
 	return 0
 }
 
 // Send delivers a message over route r, invoking done when it arrives.
-// Unknown routes deliver with zero delay.
+// Unknown routes deliver with zero delay. It adapts SendEvent.
 func (n *Network) Send(r Route, done func()) {
-	l := n.links[r]
+	n.SendEvent(r, sim.Func(done), 0)
+}
+
+// SendEvent delivers a message over route r, firing h.Handle(arg) when it
+// arrives. It is Send without a closure: pooled request records carry
+// their own continuation, so a message allocates nothing.
+func (n *Network) SendEvent(r Route, h sim.Handler, arg uint64) {
+	l := n.Link(r)
 	if l == nil {
-		n.eng.Schedule(0, done)
+		n.eng.ScheduleEvent(0, h, arg)
 		return
 	}
 	l.Messages++
 	start := l.server.Admit()
-	n.eng.At(start+l.Latency, done)
+	n.eng.AtEvent(start+l.Latency, h, arg)
 }
 
 // RoundTrip returns latency for a request-response pair on r (2x one-way).

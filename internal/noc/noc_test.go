@@ -25,12 +25,12 @@ func TestUnknownRouteZeroLatency(t *testing.T) {
 	eng := sim.New()
 	n := New(eng)
 	delivered := false
-	n.Send(Route("nowhere"), func() { delivered = true })
+	n.Send(numRoutes, func() { delivered = true })
 	eng.Run()
 	if !delivered || eng.Now() != 0 {
 		t.Fatalf("unknown route: delivered=%v at %d", delivered, eng.Now())
 	}
-	if n.Latency("nowhere") != 0 {
+	if n.Latency(numRoutes) != 0 || n.Latency(CPUToGPU) != 0 {
 		t.Fatal("unknown route latency not 0")
 	}
 }

@@ -4,11 +4,13 @@ import "vcache/internal/obs"
 
 // Observe registers every configured link's message counter and queueing
 // stats with an observability scope, one sub-scope per route (e.g.
-// "noc.cu-l2.messages"). Registration iterates the route map, so order is
-// nondeterministic, but the registry sorts names on export.
+// "noc.cu-l2.messages").
 func (n *Network) Observe(sc obs.Scope) {
 	for r, l := range n.links {
-		ls := sc.Scope(string(r))
+		if l == nil {
+			continue
+		}
+		ls := sc.Scope(Route(r).String())
 		ls.Counter("messages", &l.Messages)
 		ls.Counter("queue_delay", &l.server.QueueDelay)
 	}

@@ -56,6 +56,19 @@ type Result struct {
 	Fault bool // no valid translation
 }
 
+// Receiver takes a completed walk. It is the handler form of Walk's
+// callback: a requester that implements it on a pooled record walks
+// without allocating.
+type Receiver interface {
+	Walked(r Result)
+}
+
+// Func adapts a plain callback to Receiver.
+type Func func(Result)
+
+// Walked calls f.
+func (f Func) Walked(r Result) { f(r) }
+
 // Walker is the multi-threaded page table walker.
 type Walker struct {
 	eng   *sim.Engine
@@ -76,13 +89,13 @@ type Walker struct {
 type pending struct {
 	vpn      memory.VPN
 	enqueued uint64
-	done     func(Result)
+	done     Receiver
 }
 
 // walkState is one in-flight walk thread. It implements sim.Handler (PWC
-// hits re-schedule it directly) and carries a method-value callback for
-// DRAM completions, so advancing a walk level allocates nothing; states
-// recycle through Walker.free across walks.
+// hits re-schedule it directly, DRAM reads complete to it), so advancing a
+// walk level allocates nothing; states recycle through Walker.free across
+// walks.
 type walkState struct {
 	w         *Walker
 	vpn       memory.VPN
@@ -93,9 +106,15 @@ type walkState struct {
 	began     uint64
 	fill      uint64 // PWC fill address of the in-flight memory read
 	cacheable bool
-	done      func(Result)
-	resume    func() // == memDone, bound once when the state is created
+	done      Receiver
 }
+
+// walkState event arguments: a PWC hit's latency elapsed, or the DRAM
+// read of a page-table entry returned.
+const (
+	walkPWCHit = iota
+	walkMemDone
+)
 
 // New builds a walker over the given page table, using mem for PT entry
 // fetches that miss the page-walk cache.
@@ -128,7 +147,12 @@ func (w *Walker) Busy() int { return w.busy }
 func (w *Walker) QueueLen() int { return len(w.queue) }
 
 // Walk requests a translation for vpn; done fires when the walk completes.
-func (w *Walker) Walk(vpn memory.VPN, done func(Result)) {
+// It adapts WalkTo.
+func (w *Walker) Walk(vpn memory.VPN, done func(Result)) { w.WalkTo(vpn, Func(done)) }
+
+// WalkTo requests a translation for vpn; done.Walked fires when the walk
+// completes.
+func (w *Walker) WalkTo(vpn memory.VPN, done Receiver) {
 	w.stats.Walks++
 	if w.busy >= w.cfg.Threads {
 		w.stats.QueuedWalks++
@@ -138,7 +162,7 @@ func (w *Walker) Walk(vpn memory.VPN, done func(Result)) {
 	w.start(vpn, done)
 }
 
-func (w *Walker) start(vpn memory.VPN, done func(Result)) {
+func (w *Walker) start(vpn memory.VPN, done Receiver) {
 	w.busy++
 	var ws *walkState
 	if n := len(w.free); n > 0 {
@@ -146,7 +170,6 @@ func (w *Walker) start(vpn memory.VPN, done func(Result)) {
 		w.free = w.free[:n-1]
 	} else {
 		ws = &walkState{w: w}
-		ws.resume = ws.memDone
 	}
 	w.Trace.Emit("walk.start", uint64(vpn))
 	ws.began = w.eng.Now()
@@ -157,15 +180,10 @@ func (w *Walker) start(vpn memory.VPN, done func(Result)) {
 	ws.step()
 }
 
-// Handle advances the walk after a scheduled PWC-hit latency (sim.Handler).
-func (ws *walkState) Handle(uint64) {
-	ws.level++
-	ws.step()
-}
-
-// memDone advances the walk after a DRAM read of a page-table entry.
-func (ws *walkState) memDone() {
-	if ws.cacheable {
+// Handle advances the walk after a PWC-hit latency or a DRAM read of a
+// page-table entry (sim.Handler).
+func (ws *walkState) Handle(arg uint64) {
+	if arg == walkMemDone && ws.cacheable {
 		ws.w.pwc.Fill(ws.fill, memory.PermRead, 0, false)
 	}
 	ws.level++
@@ -184,7 +202,7 @@ func (ws *walkState) step() {
 	if cacheable {
 		if _, hit := w.pwc.Access(addr, false); hit {
 			w.stats.PWCHits++
-			w.eng.ScheduleEvent(w.cfg.PWCHitLatency, ws, 0)
+			w.eng.ScheduleEvent(w.cfg.PWCHitLatency, ws, walkPWCHit)
 			return
 		}
 		w.stats.PWCMisses++
@@ -193,7 +211,7 @@ func (ws *walkState) step() {
 	// cacheable stay stable until resume fires.
 	ws.fill = addr
 	ws.cacheable = cacheable
-	w.mem.Access(false, ws.resume)
+	w.mem.AccessEvent(false, ws, walkMemDone)
 }
 
 func (w *Walker) finish(ws *walkState) {
@@ -217,7 +235,7 @@ func (w *Walker) finish(ws *walkState) {
 		w.stats.QueueDelay += w.eng.Now() - next.enqueued
 		w.start(next.vpn, next.done)
 	}
-	done(res)
+	done.Walked(res)
 }
 
 func (w *Walker) String() string {

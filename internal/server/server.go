@@ -197,6 +197,7 @@ type counters struct {
 	Failed    uint64
 	Canceled  uint64
 	Evicted   uint64
+	Panicked  uint64 // runs whose simulation panicked (their jobs failed)
 }
 
 // Server is the job engine. Construct with New; all methods are safe for
@@ -286,6 +287,7 @@ func (s *Server) buildRegistry() {
 	sc.Gauge("jobs.failed", read(func() float64 { return float64(s.ctr.Failed) }))
 	sc.Gauge("jobs.canceled", read(func() float64 { return float64(s.ctr.Canceled) }))
 	sc.Gauge("jobs.evicted", read(func() float64 { return float64(s.ctr.Evicted) }))
+	sc.Gauge("jobs.panicked", read(func() float64 { return float64(s.ctr.Panicked) }))
 	sc.Gauge("jobs.retained", read(func() float64 { return float64(len(s.doneOrder)) }))
 	sc.Gauge("queue.depth", read(func() float64 { return float64(len(s.queue)) }))
 	sc.Gauge("queue.cap", func() float64 { return float64(s.queueCap) })
@@ -440,12 +442,13 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 
 		started := time.Now()
-		res, metricsJSON, err := s.runner.run(r.ctx, r.workload, r.params, r.cfg, func(p core.Progress) {
-			s.fanoutProgress(r, p)
-		})
+		res, metricsJSON, panicked, err := s.runGuarded(r)
 
 		s.mu.Lock()
 		s.busy--
+		if panicked {
+			s.ctr.Panicked++
+		}
 		// A canceled run already left the index, and its fingerprint may
 		// now map to a fresh resubmission — only unindex our own run.
 		if cur, ok := s.runs[r.key]; ok && cur == r {
@@ -468,6 +471,24 @@ func (s *Server) worker() {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// runGuarded executes r's simulation behind a recover boundary: a panic
+// anywhere in the simulator becomes this run's error — failing every job
+// coalesced on it with the same message — instead of killing the daemon
+// and every other job with it.
+func (s *Server) runGuarded(r *run) (res core.Results, metricsJSON []byte, panicked bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, metricsJSON = core.Results{}, nil
+			err = fmt.Errorf("server: simulation panicked: %v", p)
+			panicked = true
+		}
+	}()
+	res, metricsJSON, err = s.runner.run(r.ctx, r.workload, r.params, r.cfg, func(p core.Progress) {
+		s.fanoutProgress(r, p)
+	})
+	return res, metricsJSON, false, err
 }
 
 // fanoutProgress fans a core.Progress report out to every attached job's

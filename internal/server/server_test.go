@@ -529,3 +529,70 @@ func TestCloseCancelsEverything(t *testing.T) {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
 }
+
+// panicRunner panics on seed 1 once released, like a simulator bug
+// reached by one job; every other seed completes at once.
+type panicRunner struct {
+	started chan struct{}
+	gate    chan struct{}
+}
+
+func (p *panicRunner) run(ctx context.Context, wl string, params workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+	if params.Seed == 1 {
+		p.started <- struct{}{}
+		<-p.gate
+		panic("model invariant broken")
+	}
+	return core.Results{Workload: wl, Design: cfg.Name, Cycles: 7}, []byte(`{"cycle":1,"metrics":{}}`), nil
+}
+
+// TestRunPanicFailsJobsAndServerSurvives pins the worker's recover
+// boundary: a panicking simulation fails its job and every job coalesced
+// on the same run, with the same message, bumps jobs.panicked, and leaves
+// the worker serving the next job.
+func TestRunPanicFailsJobsAndServerSurvives(t *testing.T) {
+	pr := &panicRunner{started: make(chan struct{}, 1), gate: make(chan struct{})}
+	s := New(Options{Workers: 1, QueueCap: 8})
+	s.runner = pr
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Close(ctx)
+	})
+	a, err := s.Submit(spec(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-pr.started
+	dup, err := s.Submit(spec(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Coalesced {
+		t.Fatalf("duplicate not coalesced onto the running job: %+v", dup)
+	}
+	close(pr.gate)
+	ia, idup := waitTerminal(t, s, a.ID), waitTerminal(t, s, dup.ID)
+	for _, info := range []apiv1.JobInfo{ia, idup} {
+		if info.State != apiv1.JobFailed || info.Error == "" {
+			t.Fatalf("job %s: state %s error %q, want failed with the panic", info.ID, info.State, info.Error)
+		}
+	}
+	if ia.Error != idup.Error {
+		t.Errorf("coalesced job failed with %q, leader with %q", idup.Error, ia.Error)
+	}
+	next, err := s.Submit(spec(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitTerminal(t, s, next.ID); info.State != apiv1.JobDone || info.Cycles != 7 {
+		t.Fatalf("job after the panic: %+v, want done", info)
+	}
+	snap := s.MetricsSnapshot()
+	if v, ok := snap.Value("server.jobs.panicked"); !ok || v != 1 {
+		t.Errorf("server.jobs.panicked = %v (%v), want 1", v, ok)
+	}
+	if v, ok := snap.Value("server.jobs.failed"); !ok || v != 2 {
+		t.Errorf("server.jobs.failed = %v (%v), want 2", v, ok)
+	}
+}

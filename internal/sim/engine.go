@@ -26,11 +26,14 @@ type Handler interface {
 	Handle(arg uint64)
 }
 
-// funcHandler adapts a plain callback to Handler. Func values are pointers,
-// so the interface conversion does not allocate.
-type funcHandler func()
+// Func adapts a plain callback to Handler: the func forms of the
+// scheduling APIs (Schedule, At, Partitioned.Send, and the components'
+// Send/Access adapters) wrap their callback in it. Func values are
+// pointers, so the interface conversion does not allocate.
+type Func func()
 
-func (f funcHandler) Handle(uint64) { f() }
+// Handle calls f.
+func (f Func) Handle(uint64) { f() }
 
 // Tracer observes engine activity: Fired is called for every event, with
 // the cycle it fires at, the handler receiving it, and its argument, just
@@ -68,6 +71,14 @@ const (
 	numBuckets = 1 << windowBits
 	bucketMask = numBuckets - 1
 	wordCount  = numBuckets / 64
+
+	// Bucket slabs are carved groupBuckets at a time from one allocation
+	// of slabCap events each, on the first event into any bucket of the
+	// group: a fresh engine reaches its steady state in numBuckets /
+	// groupBuckets allocations instead of one per bucket. A slab that
+	// outgrows its carve reallocates on its own.
+	groupBuckets = 64
+	slabCap      = 4
 )
 
 // Engine is a discrete-event simulator clocked in cycles.
@@ -105,13 +116,13 @@ func (e *Engine) Pending() int { return e.bucketed + len(e.overflow) }
 // fn later in the current cycle (after all previously scheduled events for
 // this cycle).
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.at(e.now+delay, funcHandler(fn), 0)
+	e.at(e.now+delay, Func(fn), 0)
 }
 
 // At enqueues fn to run at the absolute cycle when. Scheduling in the past
 // is clamped to the current cycle.
 func (e *Engine) At(when uint64, fn func()) {
-	e.at(when, funcHandler(fn), 0)
+	e.at(when, Func(fn), 0)
 }
 
 // ScheduleEvent enqueues h.Handle(arg) to run delay cycles from now
@@ -133,6 +144,9 @@ func (e *Engine) at(when uint64, h Handler, arg uint64) {
 	}
 	if when-e.now < numBuckets {
 		i := int(when & bucketMask)
+		if cap(e.buckets[i]) == 0 {
+			e.carve(i)
+		}
 		e.buckets[i] = append(e.buckets[i], bucketEvent{h: h, arg: arg})
 		e.occupied[i>>6] |= 1 << uint(i&63)
 		e.bucketed++
@@ -144,6 +158,17 @@ func (e *Engine) at(when uint64, h Handler, arg uint64) {
 	// overflow entries is all the tie-break must preserve.
 	e.pushOverflow(event{h: h, arg: arg, when: when, seq: e.seq})
 	e.seq++
+}
+
+// carve gives every bucket of bucket i's group its initial slab.
+func (e *Engine) carve(i int) {
+	g := i &^ (groupBuckets - 1)
+	block := make([]bucketEvent, groupBuckets*slabCap)
+	for j := 0; j < groupBuckets; j++ {
+		if cap(e.buckets[g+j]) == 0 {
+			e.buckets[g+j] = block[j*slabCap : j*slabCap : (j+1)*slabCap]
+		}
+	}
 }
 
 // Step runs the single next event, advancing the clock to its cycle.
@@ -216,6 +241,9 @@ func (e *Engine) pullOverflow() {
 	for len(e.overflow) > 0 && e.overflow[0].when-e.now < numBuckets {
 		ev := e.popOverflow()
 		i := int(ev.when & bucketMask)
+		if cap(e.buckets[i]) == 0 {
+			e.carve(i)
+		}
 		e.buckets[i] = append(e.buckets[i], bucketEvent{h: ev.h, arg: ev.arg})
 		e.occupied[i>>6] |= 1 << uint(i&63)
 		e.bucketed++

@@ -119,7 +119,7 @@ func (p *Partitioned) Engine(part int) *Engine { return p.engines[part] }
 // lookahead; smaller delays are still delivered deterministically but
 // clamp to the barrier cycle.
 func (p *Partitioned) Send(src, dst int, delay uint64, fn func()) {
-	p.SendEvent(src, dst, delay, funcHandler(fn), 0)
+	p.SendEvent(src, dst, delay, Func(fn), 0)
 }
 
 // SendEvent is Send without the closure: h.Handle(arg) fires on dst.

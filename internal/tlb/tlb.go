@@ -5,16 +5,25 @@
 // the appendix figure comparing TLB-entry residence against cache-line
 // residence.
 //
+// A finite TLB never scans a set on the access path, whatever its
+// geometry. A flatmap index maps (asid, vpn, large) to the way holding the
+// entry; each set keeps its resident ways on an intrusive LRU list and its
+// empty ways on a free stack. A hit is one index probe plus a move to the
+// list head, and a miss fill pops the free stack or takes the list tail.
+//
 // Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based by
 // default: each entry records the generation it was inserted under, a bulk
-// invalidation bumps a generation counter and defers the physical work, and
-// dead entries are skipped or reclaimed on next touch. Residency counts are
-// maintained incrementally so Len() and the obs gauge stay exact without
-// scanning. The infinite-mode maps are flatmap tables that reclaim dead
-// slots on the probe path, so steady-state lookups and inserts are
-// allocation-free. The eager scan paths survive behind the Eager flag for
-// differential testing and for owners that need per-entry OnEvict
-// observation during bulk flushes.
+// invalidation bumps a generation counter and defers the physical work,
+// and the index shares the TLB's epoch, so dead entries are invisible to
+// lookups at once. Their ways stay on the LRU lists until a fill finds its
+// set's free stack empty; only then, and only if a bulk invalidation
+// happened since the set was last swept, is the set swept for dead ways.
+// Residency counts are maintained incrementally so Len() and the obs gauge
+// stay exact without scanning. The infinite-mode maps are flatmap tables
+// that reclaim dead slots on the probe path, so steady-state lookups and
+// inserts are allocation-free. The eager scan paths survive behind the
+// Eager flag for differential testing and for owners that need per-entry
+// OnEvict observation during bulk flushes.
 package tlb
 
 import (
@@ -29,16 +38,14 @@ import (
 // Entry is a cached translation. Large entries cover a 2MB region: VPN and
 // PPN hold the region base and Frame resolves individual 4KB pages.
 type Entry struct {
-	ASID  memory.ASID
 	VPN   memory.VPN
 	PPN   memory.PPN
+	ASID  memory.ASID
 	Perm  memory.Perm
 	Large bool
 
-	valid      bool
-	lru        uint64
-	insertedAt uint64
 	born       uint32 // generation at insertion (epoch invalidation)
+	insertedAt uint64
 }
 
 // Frame returns the physical frame for vpn, which must lie in the entry's
@@ -89,31 +96,64 @@ type asidCnt struct {
 	large int // of which 2MB entries
 }
 
+// nilWay terminates the intrusive lists.
+const nilWay = -1
+
+// link is one finite-mode way's list state, kept apart from the entries
+// so LRU updates touch only this small, hot array. A resident way sits on
+// its set's LRU list (prev/next); an empty way sits on the set's free
+// stack (next).
+type link struct {
+	prev, next int32
+	set        int32
+	used       bool // resident: on the LRU list, not the free stack
+}
+
+// set is one finite-mode set: the LRU list of its resident ways (head is
+// most recently used), the free stack of its empty ways, and the bulk
+// invalidation count at its last sweep for epoch-dead ways.
+type set struct {
+	head, tail int32
+	free       int32
+	swept      uint64
+}
+
 // TLB is a translation lookaside buffer.
 type TLB struct {
 	cfg      Config
-	sets     [][]Entry
 	isInf    bool
 	inf      flatmap.Map[Entry] // infinite mode: 4KB entries, packed (asid, vpn) keys
 	infLarge flatmap.Map[Entry] // infinite mode: 2MB entries, keyed by region base
-	large    int                // finite mode: resident 2MB entries (skip probe when 0)
 	tick     uint64
 	stats    Stats
+
+	// Finite mode. Set s owns ways s*assoc .. (s+1)*assoc-1: their entries
+	// in ways, their list links in links. idx and idxLarge map packed
+	// (asid, vpn) keys of 4KB and 2MB entries to their way; they share
+	// ep, so an epoch-dead entry is absent from them even while its way
+	// still sits on an LRU list.
+	ways     []Entry
+	links    []link
+	sets     []set
+	idx      flatmap.Map[int32]
+	idxLarge flatmap.Map[int32]
+	large    int    // resident 2MB entries (skip the large probe when 0)
+	bulks    uint64 // lazy bulk invalidations that retired entries
 
 	// Epoch invalidation state. An entry is live iff its born generation
 	// survives every death mark in ep. Generations only advance on lazy bulk
 	// invalidations; normalize() rewinds everything before the uint32
-	// counter can wrap. The infinite-mode maps share ep, so they reclaim
-	// their own dead slots during probes.
+	// counter can wrap. Every flat table shares ep, so each reclaims its
+	// own dead slots during probes.
 	ep       flatmap.Epoch
 	resident int                  // live entries (maintained, so Len is O(1))
 	perASID  flatmap.Map[asidCnt] // keyed by uint64(asid)
 
 	// Eager restores scan-based bulk invalidation: InvalidateAll and
 	// InvalidateASID walk the structure and fire OnEvict per entry (in
-	// deterministic sorted order for infinite maps). Lazy bulk invalidation
-	// never fires OnEvict, so owners that observe individual evictions
-	// (lifetime tracking) must set Eager.
+	// deterministic order: sorted keys for infinite maps, way order for
+	// finite sets). Lazy bulk invalidation never fires OnEvict, so owners
+	// that observe individual evictions (lifetime tracking) must set Eager.
 	Eager bool
 
 	// Clock, if set, supplies the current cycle for lifetime tracking.
@@ -128,7 +168,7 @@ type TLB struct {
 	Trace *obs.Emitter
 }
 
-// infKey packs a TLB key for the flat infinite-mode maps.
+// infKey packs a TLB key for the flat maps.
 func infKey(asid memory.ASID, vpn memory.VPN) uint64 {
 	return flatmap.Key(uint16(asid), uint64(vpn))
 }
@@ -150,9 +190,22 @@ func New(cfg Config) *TLB {
 	if numSets < 1 {
 		numSets = 1
 	}
-	t.sets = make([][]Entry, numSets)
-	for i := range t.sets {
-		t.sets[i] = make([]Entry, assoc)
+	t.idx.Init(&t.ep)
+	t.idxLarge.Init(&t.ep)
+	t.idx.Grow(numSets * assoc)
+	t.ways = make([]Entry, numSets*assoc)
+	t.links = make([]link, numSets*assoc)
+	t.sets = make([]set, numSets)
+	for s := range t.sets {
+		st := &t.sets[s]
+		st.head, st.tail, st.free = nilWay, nilWay, nilWay
+		// Push ways in ascending order so fills take the highest free way
+		// first, as the reference scan does: eager flushes, which walk
+		// ways in order, then evict in the same order as it.
+		for w := s * assoc; w < (s+1)*assoc; w++ {
+			t.links[w].set = int32(s)
+			t.pushFree(st, int32(w))
+		}
 	}
 	return t
 }
@@ -180,8 +233,8 @@ func largeBase(vpn memory.VPN) memory.VPN {
 	return vpn &^ memory.VPN(memory.PagesPerLarge-1)
 }
 
-// live reports whether a valid entry survived every bulk invalidation since
-// it was inserted. Callers check valid themselves.
+// live reports whether an entry survived every bulk invalidation since it
+// was inserted.
 func (t *TLB) live(e *Entry) bool {
 	return t.ep.Live(uint16(e.ASID), e.born)
 }
@@ -224,92 +277,105 @@ func (t *TLB) normalize() {
 		t.inf.Normalize()
 		t.infLarge.Normalize()
 	} else {
-		for _, set := range t.sets {
-			for i := range set {
-				if !set[i].valid {
-					continue
-				}
-				if !t.live(&set[i]) {
-					set[i].valid = false
-				} else {
-					set[i].born = 0
-				}
-			}
+		for s := range t.sets {
+			t.sweep(int32(s))
 		}
+		for i := range t.ways {
+			t.ways[i].born = 0
+		}
+		t.idx.Normalize()
+		t.idxLarge.Normalize()
 	}
 	t.ep.Reset()
 }
 
-// find returns the live finite-mode entry for (asid, vpn, large),
-// reclaiming a dead match on touch. vpn must be the region base for large
-// entries.
-func (t *TLB) find(asid memory.ASID, vpn memory.VPN, large bool) *Entry {
-	set := t.sets[t.setIndex(asid, vpn)]
-	for i := range set {
-		if set[i].valid && set[i].ASID == asid && set[i].VPN == vpn && set[i].Large == large {
-			if !t.live(&set[i]) {
-				// Reclaim the dead slot on touch; a live entry with the
-				// same key may still follow (inserted after the bulk
-				// invalidation into another way).
-				set[i].valid = false
-				continue
-			}
-			return &set[i]
-		}
-	}
-	return nil
+// ---------------------------------------------------------------------------
+// Finite-mode set structure: intrusive LRU list and free stack.
+
+func (t *TLB) pushFree(s *set, w int32) {
+	t.links[w].used = false
+	t.links[w].next = s.free
+	s.free = w
 }
 
-// Lookup searches for (asid, vpn), updating LRU state and hit/miss
-// counters. Both 4KB entries and covering 2MB entries hit.
-func (t *TLB) Lookup(asid memory.ASID, vpn memory.VPN) (Entry, bool) {
-	t.tick++
+func (t *TLB) popFree(s *set) int32 {
+	w := s.free
+	s.free = t.links[w].next
+	return w
+}
+
+// pushFront links w at the MRU end of its set's list.
+func (t *TLB) pushFront(s *set, w int32) {
+	l := &t.links[w]
+	l.prev, l.next = nilWay, s.head
+	if s.head != nilWay {
+		t.links[s.head].prev = w
+	} else {
+		s.tail = w
+	}
+	s.head = w
+}
+
+func (t *TLB) unlink(s *set, w int32) {
+	l := &t.links[w]
+	if l.prev != nilWay {
+		t.links[l.prev].next = l.next
+	} else {
+		s.head = l.next
+	}
+	if l.next != nilWay {
+		t.links[l.next].prev = l.prev
+	} else {
+		s.tail = l.prev
+	}
+}
+
+// touch makes w its set's most recently used way.
+func (t *TLB) touch(w int32) {
+	s := &t.sets[t.links[w].set]
+	if s.head == w {
+		return
+	}
+	t.unlink(s, w)
+	t.pushFront(s, w)
+}
+
+// sweep moves every epoch-dead way of set si from its LRU list to its free
+// stack. Their index entries are already invisible (the index shares the
+// epoch), so only the ways move.
+func (t *TLB) sweep(si int32) {
+	s := &t.sets[si]
+	for w := s.head; w != nilWay; {
+		next := t.links[w].next
+		if !t.live(&t.ways[w]) {
+			t.unlink(s, w)
+			t.pushFree(s, w)
+		}
+		w = next
+	}
+	s.swept = t.bulks
+}
+
+// find returns the way holding the live finite-mode entry for (asid, vpn,
+// large), or nilWay. vpn must be the region base for large entries.
+func (t *TLB) find(asid memory.ASID, vpn memory.VPN, large bool) int32 {
+	m := &t.idx
+	if large {
+		m = &t.idxLarge
+	}
+	if w, ok := m.Get(infKey(asid, vpn)); ok {
+		return w
+	}
+	return nilWay
+}
+
+// lookup is the shared body of Lookup and LookupSpan: n coalesced lookups
+// of (asid, vpn), counted as n hits or misses.
+func (t *TLB) lookup(asid memory.ASID, vpn memory.VPN, n uint64) (Entry, bool) {
+	t.tick += n
 	if t.isInf {
 		// Infinite TLBs never evict by capacity, so LRU state is dead:
 		// hits are a single flat-table probe with no write-back.
-		if e, ok := t.inf.Get(infKey(asid, vpn)); ok {
-			t.stats.Hits++
-			return e, true
-		}
-		if t.infLarge.Len() > 0 {
-			if e, ok := t.infLarge.Get(infKey(asid, largeBase(vpn))); ok {
-				t.stats.Hits++
-				return e, true
-			}
-		}
-		t.stats.Misses++
-		t.Trace.Emit("miss", uint64(vpn))
-		return Entry{}, false
-	}
-	if e := t.find(asid, vpn, false); e != nil {
-		e.lru = t.tick
-		t.stats.Hits++
-		return *e, true
-	}
-	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			e.lru = t.tick
-			t.stats.Hits++
-			return *e, true
-		}
-	}
-	t.stats.Misses++
-	t.Trace.Emit("miss", uint64(vpn))
-	return Entry{}, false
-}
-
-// LookupSpan is the batched front-end's probe: one associative search for
-// (asid, vpn) on behalf of n coalesced same-page lookups. Counters and the
-// LRU clock advance exactly as n consecutive Lookup calls would — the span
-// counts as n hits or n misses and leaves the entry most-recently-used at
-// the same tick — but the set is searched once. A miss emits a single
-// "miss" trace event for the whole span.
-func (t *TLB) LookupSpan(asid memory.ASID, vpn memory.VPN, n uint64) (Entry, bool) {
-	if n == 0 {
-		return Entry{}, false
-	}
-	t.tick += n
-	if t.isInf {
 		if e, ok := t.inf.Get(infKey(asid, vpn)); ok {
 			t.stats.Hits += n
 			return e, true
@@ -320,25 +386,39 @@ func (t *TLB) LookupSpan(asid memory.ASID, vpn memory.VPN, n uint64) (Entry, boo
 				return e, true
 			}
 		}
-		t.stats.Misses += n
-		t.Trace.Emit("miss", uint64(vpn))
-		return Entry{}, false
-	}
-	if e := t.find(asid, vpn, false); e != nil {
-		e.lru = t.tick
-		t.stats.Hits += n
-		return *e, true
-	}
-	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			e.lru = t.tick
+	} else {
+		w := t.find(asid, vpn, false)
+		if w == nilWay && t.large > 0 {
+			w = t.find(asid, largeBase(vpn), true)
+		}
+		if w != nilWay {
+			t.touch(w)
 			t.stats.Hits += n
-			return *e, true
+			return t.ways[w], true
 		}
 	}
 	t.stats.Misses += n
 	t.Trace.Emit("miss", uint64(vpn))
 	return Entry{}, false
+}
+
+// Lookup searches for (asid, vpn), updating LRU state and hit/miss
+// counters. Both 4KB entries and covering 2MB entries hit.
+func (t *TLB) Lookup(asid memory.ASID, vpn memory.VPN) (Entry, bool) {
+	return t.lookup(asid, vpn, 1)
+}
+
+// LookupSpan is the batched front-end's probe: one lookup of (asid, vpn)
+// on behalf of n coalesced same-page lookups. Counters and the LRU order
+// end exactly as n consecutive Lookup calls would leave them — the span
+// counts as n hits or n misses and leaves the entry most-recently-used —
+// but the TLB is probed once. A miss emits a single "miss" trace event for
+// the whole span.
+func (t *TLB) LookupSpan(asid memory.ASID, vpn memory.VPN, n uint64) (Entry, bool) {
+	if n == 0 {
+		return Entry{}, false
+	}
+	return t.lookup(asid, vpn, n)
 }
 
 // Probe reports whether a translation for (asid, vpn) is resident (4KB or
@@ -351,13 +431,10 @@ func (t *TLB) Probe(asid memory.ASID, vpn memory.VPN) bool {
 		_, ok := t.infLarge.Get(infKey(asid, largeBase(vpn)))
 		return ok
 	}
-	if t.find(asid, vpn, false) != nil {
+	if t.find(asid, vpn, false) != nilWay {
 		return true
 	}
-	if t.large > 0 && t.find(asid, largeBase(vpn), true) != nil {
-		return true
-	}
-	return false
+	return t.large > 0 && t.find(asid, largeBase(vpn), true) != nilWay
 }
 
 // Insert installs a 4KB translation, evicting the LRU entry of the set if
@@ -376,11 +453,9 @@ func (t *TLB) InsertLarge(asid memory.ASID, baseVPN memory.VPN, basePPN memory.P
 func (t *TLB) insert(e Entry) {
 	t.tick++
 	t.stats.Inserts++
-	e.valid = true
-	e.lru = t.tick
 	e.insertedAt = t.now()
 	e.born = t.ep.Gen()
-	asid, vpn := e.ASID, e.VPN
+	k := infKey(e.ASID, e.VPN)
 	if t.isInf {
 		m := &t.inf
 		if e.Large {
@@ -389,33 +464,53 @@ func (t *TLB) insert(e Entry) {
 		// Put reclaims a dead entry under the same key during its probe, so
 		// a false return means the key was absent from the live view and the
 		// residency count grows.
-		if !m.Put(infKey(asid, vpn), e) {
-			t.incCount(asid, e.Large)
+		if !m.Put(k, e) {
+			t.incCount(e.ASID, e.Large)
 		}
 		return
 	}
-	set := t.sets[t.setIndex(asid, vpn)]
-	victim, vfree := 0, false
-	for i := range set {
-		li := &set[i]
-		free := !li.valid || !t.live(li)
-		if !free && li.ASID == asid && li.VPN == vpn && li.Large == e.Large {
-			keep := li.insertedAt
-			*li = e
-			li.insertedAt = keep
+	m := &t.idx
+	if e.Large {
+		m = &t.idxLarge
+	}
+	if w, ok := m.Get(k); ok {
+		// Refresh in place: new translation and generation, original
+		// insertion time, most recently used.
+		e.insertedAt = t.ways[w].insertedAt
+		t.ways[w] = e
+		m.Put(k, w)
+		t.touch(w)
+		return
+	}
+	si := int32(t.setIndex(e.ASID, e.VPN))
+	s := &t.sets[si]
+	if s.free == nilWay && s.swept != t.bulks {
+		t.sweep(si)
+	}
+	var w int32
+	if s.free != nilWay {
+		w = t.popFree(s)
+	} else {
+		// No free or dead way: the LRU tail is live.
+		w = s.tail
+		t.unlink(s, w)
+		if v := &t.ways[w]; v.ASID == e.ASID && v.Large == e.Large {
+			// Same address space and page size: the residency counts
+			// net out.
+			t.evictNotify(*v)
+			t.unindex(v)
+			t.ways[w] = e
+			t.pushFront(s, w)
+			m.Put(k, w)
 			return
 		}
-		if free {
-			victim, vfree = i, true
-		} else if !vfree && li.lru < set[victim].lru {
-			victim = i
-		}
+		t.evict(w)
 	}
-	if set[victim].valid && t.live(&set[victim]) {
-		t.evict(&set[victim])
-	}
-	set[victim] = e
-	t.incCount(asid, e.Large)
+	t.ways[w] = e
+	t.links[w].used = true
+	t.pushFront(s, w)
+	m.Put(k, w)
+	t.incCount(e.ASID, e.Large)
 	if e.Large {
 		t.large++
 	}
@@ -430,13 +525,33 @@ func (t *TLB) evictNotify(e Entry) {
 	}
 }
 
-func (t *TLB) evict(e *Entry) {
+// evict retires the live entry of way w, already unlinked from its set's
+// list, from the index and the residency counts.
+func (t *TLB) evict(w int32) {
+	e := &t.ways[w]
 	t.evictNotify(*e)
-	e.valid = false
+	t.unindex(e)
 	if e.Large {
 		t.large--
 	}
 	t.decCount(e.ASID, e.Large)
+}
+
+// unindex removes a finite-mode entry's index key.
+func (t *TLB) unindex(e *Entry) {
+	if e.Large {
+		t.idxLarge.Delete(infKey(e.ASID, e.VPN))
+	} else {
+		t.idx.Delete(infKey(e.ASID, e.VPN))
+	}
+}
+
+// drop evicts the live entry of way w and frees the way.
+func (t *TLB) drop(w int32) {
+	s := &t.sets[t.links[w].set]
+	t.unlink(s, w)
+	t.evict(w)
+	t.pushFree(s, w)
 }
 
 // dropInf removes an infinite-mode entry by key, reporting whether a live
@@ -485,13 +600,13 @@ func (t *TLB) dropPage(asid memory.ASID, vpn memory.VPN) bool {
 		}
 		return hit
 	}
-	if e := t.find(asid, vpn, false); e != nil {
-		t.evict(e)
+	if w := t.find(asid, vpn, false); w != nilWay {
+		t.drop(w)
 		hit = true
 	}
 	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			t.evict(e)
+		if w := t.find(asid, largeBase(vpn), true); w != nilWay {
+			t.drop(w)
 			hit = true
 		}
 	}
@@ -516,6 +631,17 @@ func sortedLiveKeys(m *flatmap.Map[Entry], asid memory.ASID, all bool) []uint64 
 	return ks
 }
 
+// eagerDrop evicts, in way order, every live finite-mode entry (all) or
+// every live entry of asid.
+func (t *TLB) eagerDrop(asid memory.ASID, all bool) {
+	for w := range t.ways {
+		e := &t.ways[w]
+		if t.links[w].used && (all || e.ASID == asid) && t.live(e) {
+			t.drop(int32(w))
+		}
+	}
+}
+
 // InvalidateAll flushes every entry (all-entry shootdown), returning how
 // many live entries were dropped. Lazy unless Eager is set: one generation
 // bump (or a table reset in infinite mode) retires everything at once.
@@ -532,13 +658,7 @@ func (t *TLB) InvalidateAll() int {
 			}
 			return n
 		}
-		for _, set := range t.sets {
-			for i := range set {
-				if set[i].valid && t.live(&set[i]) {
-					t.evict(&set[i])
-				}
-			}
-		}
+		t.eagerDrop(0, true)
 		return n
 	}
 	if t.isInf {
@@ -547,6 +667,7 @@ func (t *TLB) InvalidateAll() int {
 		t.ep.ClearDead()
 	} else if n > 0 {
 		t.ep.MarkDeadAll(t.bumpGen())
+		t.bulks++
 	}
 	if n > 0 {
 		t.stats.Evictions += uint64(n)
@@ -575,13 +696,7 @@ func (t *TLB) InvalidateASID(asid memory.ASID) int {
 			}
 			return n
 		}
-		for _, set := range t.sets {
-			for i := range set {
-				if set[i].valid && set[i].ASID == asid && t.live(&set[i]) {
-					t.evict(&set[i])
-				}
-			}
-		}
+		t.eagerDrop(asid, false)
 		return n
 	}
 	if n == 0 {
@@ -594,6 +709,7 @@ func (t *TLB) InvalidateASID(asid memory.ASID) int {
 	}
 	t.perASID.Delete(uint64(asid))
 	t.ep.MarkDeadASID(uint16(asid), t.bumpGen())
+	t.bulks++ // after bumpGen: a normalize there sweeps every set
 	return n
 }
 
